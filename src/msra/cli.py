@@ -36,7 +36,6 @@ def main(argv=None) -> int:
     try:
         if args.paper:
             cfg = harness.benchmark_preset()
-            harness.check_benchmark_parameters(cfg)
         else:
             cfg = harness.load_config(args.config)
         cfg = harness.override(cfg, repetitions=args.reps, seed=args.seed)

@@ -117,10 +117,6 @@ class ReplicaState:
     busy_since: float | None = None
 
     @property
-    def queue_len(self) -> int:
-        return len(self.queue)
-
-    @property
     def backlog(self) -> int:
         return self.in_flight + len(self.queue)
 
@@ -191,6 +187,8 @@ class _Service:
         self.name = name
         self.profile = profile
         self.requirements = requirements
+        # Ids come from one increasing counter and dicts keep insertion order
+        # through deletions, so iteration is in replica-id order.
         self.replicas: dict[int, ReplicaState] = {}
         self.pending: deque = deque()
         self.desired_count = desired_count
@@ -200,9 +198,6 @@ class _Service:
         self.replacement: tuple[int, int] | None = None  # (new_id, old_id) in flight
         self.used_cpu_seconds = 0.0
         self.usage_mark = 0.0
-
-    def sorted_replicas(self) -> list[ReplicaState]:
-        return [self.replicas[rid] for rid in sorted(self.replicas)]
 
 
 class ClusterSim:
@@ -345,7 +340,7 @@ class ClusterSim:
 
     def _dispatch(self, svc: _Service, req: _Request) -> None:
         best = None
-        for rep in svc.sorted_replicas():
+        for rep in svc.replicas.values():
             if rep.phase != READY:
                 continue
             if best is None or rep.backlog < best.backlog:
@@ -530,7 +525,7 @@ class ClusterSim:
             raise BoundViolation(f"{service}: cpu {new_cpu} outside [{reqs.min_cpu}, {reqs.max_cpu}]")
         if not reqs.min_mem <= new_mem <= reqs.max_mem:
             raise BoundViolation(f"{service}: mem {new_mem} outside [{reqs.min_mem}, {reqs.max_mem}]")
-        active = [r for r in svc.sorted_replicas() if r.phase != TERMINATING]
+        active = [r for r in svc.replicas.values() if r.phase != TERMINATING]
         if target_replicas != len(active) and not reqs.horizontal_enabled:
             raise BoundViolation(f"{service}: horizontal scaling is disabled")
         if (new_cpu, new_mem) != (svc.desired_cpu, svc.desired_mem) and not reqs.vertical_enabled:
@@ -543,7 +538,7 @@ class ClusterSim:
 
         excess = len(active) - target_replicas
         if excess > 0:
-            for rep in sorted(active, key=lambda r: r.replica_id, reverse=True)[:excess]:
+            for rep in reversed(active[-excess:]):
                 self._begin_termination(svc, rep)
         elif excess < 0:
             for _ in range(-excess):
@@ -562,7 +557,7 @@ class ClusterSim:
             cpu = 0.0
             mem = 0.0
             ready = 0
-            for rep in svc.sorted_replicas():
+            for rep in svc.replicas.values():
                 surge = svc.profile.startup_cpu_surge if rep.phase == STARTING else 1.0
                 cpu += rep.cpu_alloc * surge
                 mem += svc.profile.memory_base + svc.profile.memory_per_inflight * rep.in_flight
@@ -590,7 +585,7 @@ class ClusterSim:
 
     def service_view(self, name: str) -> ServiceView:
         svc = self.services[name]
-        replicas = svc.sorted_replicas()
+        replicas = svc.replicas.values()
         return ServiceView(
             name=name,
             ready=sum(1 for r in replicas if r.phase == READY),

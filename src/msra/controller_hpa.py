@@ -70,7 +70,6 @@ class HpaController:
         self.cfg = cfg
         self.service = service
         self._history: deque[tuple[float, int]] = deque()
-        self.decisions: list[HpaDecision] = []
 
     def utilization(self, store: MetricStore, now: float) -> float | None:
         """Percent CPU utilization over the last sync period: used / allocated on ready replicas."""
@@ -84,24 +83,21 @@ class HpaController:
     def tick(self, now: float, store: MetricStore, sim: ClusterSim) -> HpaDecision:
         view = sim.service_view(self.service)
         if view.ready == 0:
-            decision = HpaDecision(now, None, None, None, False, "no ready replicas")
-            self.decisions.append(decision)
-            return decision
+            return HpaDecision(now, None, None, None, False, "no ready replicas")
         util = self.utilization(store, now)
         if util is None:
-            decision = HpaDecision(now, None, None, None, False, "no utilization samples")
-            self.decisions.append(decision)
-            return decision
-        raw = desired_replicas(view.active, util, self.cfg)
+            return HpaDecision(now, None, None, None, False, "no utilization samples")
+        # Scale from the replica count last asked for, as the Kubernetes HPA
+        # reads the scale spec: ``active`` also counts a rolling replacement's
+        # surge replica.
+        raw = desired_replicas(view.desired_replicas, util, self.cfg)
         cutoff = now - self.cfg.stabilization_window
         while self._history and self._history[0][0] <= cutoff:
             self._history.popleft()
         target = stabilized_desired([r for _, r in self._history], raw)
         self._history.append((now, raw))
         applied = False
-        if target != view.active:
+        if target != view.desired_replicas:
             sim.apply_rolling_update(self.service, target)  # horizontal only, allocations untouched
             applied = True
-        decision = HpaDecision(now, util, raw, target, applied)
-        self.decisions.append(decision)
-        return decision
+        return HpaDecision(now, util, raw, target, applied)

@@ -16,12 +16,13 @@ Windows with no samples evaluate as met-with-warning and never drive scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cluster import ClusterSim, ServiceView
 from .errors import BoundViolation, ConfigurationError
-from .slo import SloSpec, SloStatus, StrategyLevel, build_status, measure
-from .telemetry import MetricStore
+# measure and build_status are not called here; simbench/tracing.py wraps
+# them in this module's namespace, so they stay bound until it stops doing so.
+from .slo import SloSpec, SloStatus, StrategyLevel, build_status, measure, target_for  # noqa: F401
 
 MET = "met"
 EXCEEDED = "exceeded"
@@ -140,23 +141,11 @@ def plan(
 def _plan_scale_up(service, view, reqs, cfg) -> ScalingAction | None:
     notes = []
     new_cpu = new_mem = None
-    if reqs.vertical_enabled and cfg.vertical_cpu_rate > 0:
-        boosted = view.cpu_per_replica * (1.0 + cfg.vertical_cpu_rate / 100.0)
-        new_cpu = _clamp(boosted, reqs.min_cpu, reqs.max_cpu)
-        if new_cpu != boosted:
-            notes.append("cpu clamped to bounds")
-        if new_cpu == view.cpu_per_replica:
-            new_cpu = None
-    if reqs.vertical_enabled and cfg.vertical_mem_rate > 0:
-        boosted = view.mem_per_replica * (1.0 + cfg.vertical_mem_rate / 100.0)
-        new_mem = _clamp(boosted, reqs.min_mem, reqs.max_mem)
-        if new_mem != boosted:
-            notes.append("mem clamped to bounds")
-        if new_mem == view.mem_per_replica:
-            new_mem = None
+    if reqs.vertical_enabled:
+        new_cpu, new_mem = _resize(view, reqs, cfg, +1, notes)
     delta = 0
     if reqs.horizontal_enabled:
-        if view.active < reqs.max_replicas:
+        if view.desired_replicas < reqs.max_replicas:
             delta = 1
         else:
             notes.append("at max replicas")
@@ -167,29 +156,38 @@ def _plan_scale_up(service, view, reqs, cfg) -> ScalingAction | None:
 
 
 def _plan_scale_down(service, view, reqs, cfg) -> ScalingAction | None:
-    if reqs.horizontal_enabled and view.active > reqs.min_replicas:
+    if reqs.horizontal_enabled and view.desired_replicas > reqs.min_replicas:
         return ScalingAction(service, -1, None, None, "verdict exceeded: release one replica")
     if reqs.vertical_enabled:
         notes = []
-        new_cpu = new_mem = None
-        if cfg.vertical_cpu_rate > 0:
-            trimmed = view.cpu_per_replica * (1.0 - cfg.vertical_cpu_rate / 100.0)
-            new_cpu = _clamp(trimmed, reqs.min_cpu, reqs.max_cpu)
-            if new_cpu != trimmed:
-                notes.append("cpu clamped to bounds")
-            if new_cpu == view.cpu_per_replica:
-                new_cpu = None
-        if cfg.vertical_mem_rate > 0:
-            trimmed = view.mem_per_replica * (1.0 - cfg.vertical_mem_rate / 100.0)
-            new_mem = _clamp(trimmed, reqs.min_mem, reqs.max_mem)
-            if new_mem != trimmed:
-                notes.append("mem clamped to bounds")
-            if new_mem == view.mem_per_replica:
-                new_mem = None
+        new_cpu, new_mem = _resize(view, reqs, cfg, -1, notes)
         if new_cpu is not None or new_mem is not None:
             notes.insert(0, "verdict exceeded: trim allocations at min replicas")
             return ScalingAction(service, 0, new_cpu, new_mem, "; ".join(notes))
     return None
+
+
+def _resize(view, reqs, cfg, sign: int, notes: list[str]) -> tuple[float | None, float | None]:
+    """Per-replica CPU and memory moved by ``sign`` times the vertical rates, clamped to bounds.
+
+    A dimension whose rate is zero, or whose clamped value equals the current
+    one, comes back as None; each clamp appends a note.
+    """
+    out = []
+    for dim, rate, current, lo, hi in (
+        ("cpu", cfg.vertical_cpu_rate, view.cpu_per_replica, reqs.min_cpu, reqs.max_cpu),
+        ("mem", cfg.vertical_mem_rate, view.mem_per_replica, reqs.min_mem, reqs.max_mem),
+    ):
+        new = None
+        if rate > 0:
+            resized = current * (1.0 + sign * rate / 100.0)
+            new = _clamp(resized, lo, hi)
+            if new != resized:
+                notes.append(f"{dim} clamped to bounds")
+            if new == current:
+                new = None
+        out.append(new)
+    return out[0], out[1]
 
 
 def execute(actions, sim: ClusterSim) -> list[str]:
@@ -198,7 +196,7 @@ def execute(actions, sim: ClusterSim) -> list[str]:
     for action in actions:
         view = sim.service_view(action.service)
         reqs = view.requirements
-        target = int(_clamp(view.active + action.horizontal_delta, reqs.min_replicas, reqs.max_replicas))
+        target = int(_clamp(view.desired_replicas + action.horizontal_delta, reqs.min_replicas, reqs.max_replicas))
         try:
             sim.apply_rolling_update(
                 action.service, target,
@@ -212,20 +210,23 @@ def execute(actions, sim: ClusterSim) -> list[str]:
 
 
 class MsRaController:
-    """One adaptation loop instance driving one simulated cluster."""
+    """Analyze, plan and execute for one simulated cluster; the harness is the monitor."""
 
     def __init__(self, cfg: MsRaConfig):
         self.cfg = cfg
         self.last_action: dict[str, float] = {}
-        self.ticks: list[TickResult] = []
 
-    def tick(self, now: float, store: MetricStore, sim: ClusterSim) -> TickResult:
-        measured = [(slo, measure(store, slo, now)) for slo in self.cfg.slos]
-        # Strategy selection reads only violations and budgets, so provisional
-        # statuses (targets recomputed below) are enough to pick it.
-        provisional = [build_status(slo, value, StrategyLevel.BEST_EFFORT) for slo, value in measured]
-        strategy = select_strategy(provisional, self.cfg)
-        statuses = tuple(build_status(slo, value, strategy) for slo, value in measured)
+    def tick(self, now: float, statuses, sim: ClusterSim) -> TickResult:
+        """Act on this tick's SLO statuses, one per SLO in ``cfg.slos``.
+
+        Strategy selection reads only violations and budgets, which no target
+        affects, so the statuses may carry any strategy's targets; they are
+        retargeted to the selected strategy before analysis.
+        """
+        strategy = select_strategy(statuses, self.cfg)
+        statuses = tuple(
+            replace(s, target=target_for(strategy, s.compliance_threshold)) for s in statuses
+        )
         verdict = analyze(statuses, self.cfg)
         actions = tuple(plan(verdict, strategy, sim.views(), self.cfg, now, self.last_action))
         outcomes = execute(actions, sim)
@@ -233,7 +234,7 @@ class MsRaController:
             if outcome == "applied":
                 self.last_action[action.service] = now
         budgets = [s.error_budget for s in statuses if s.samples_present]
-        result = TickResult(
+        return TickResult(
             time=now,
             verdict=verdict,
             strategy=strategy,
@@ -241,5 +242,3 @@ class MsRaController:
             actions=actions,
             min_error_budget=min(budgets) if budgets else None,
         )
-        self.ticks.append(result)
-        return result

@@ -164,6 +164,7 @@ class RepResult:
 @dataclass
 class RunReport:
     profile: str
+    kind: str
     avg_replicas: float
     cpu: float
     mem: float
@@ -230,26 +231,6 @@ def benchmark_preset(repetitions: int = 10, seed: int = 42) -> ExperimentConfig:
     )
 
 
-def check_benchmark_parameters(cfg: ExperimentConfig) -> None:
-    """Reject a config claiming to be the benchmark preset with off-table parameters."""
-    for ctrl in cfg.controllers:
-        if ctrl.kind == MSRA:
-            if ctrl.name not in TABLE_MSRA:
-                raise ConfigurationError(f"unexpected profile {ctrl.name!r} in preset")
-            x, y, rate, strategy = TABLE_MSRA[ctrl.name]
-            ok = (ctrl.slo1_threshold == x and ctrl.slo2_threshold == y
-                  and ctrl.vertical_cpu_rate == rate and ctrl.vertical_mem_rate == rate
-                  and ctrl.preferred_strategy == strategy.value)
-        else:
-            if ctrl.name not in TABLE_HPA:
-                raise ConfigurationError(f"unexpected profile {ctrl.name!r} in preset")
-            threshold, x, y, _stab = TABLE_HPA[ctrl.name]
-            ok = (ctrl.cpu_threshold == threshold
-                  and ctrl.slo1_threshold == x and ctrl.slo2_threshold == y)
-        if not ok:
-            raise ConfigurationError(f"profile {ctrl.name!r} deviates from the preset table")
-
-
 # --------------------------------------------------------------- execution
 
 def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> RepResult:
@@ -306,15 +287,17 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
         sample_usage(t, record_metrics=True)
         if step % ctrl_every != 0:
             continue
-        # Violation accounting is controller-independent: one count per
-        # evaluation window whose measured compliance sits below threshold.
-        budget_repr = ""
-        for slo in slos:
-            status = build_status(slo, measure(store, slo, t), StrategyLevel.BEST_EFFORT)
+        # Each SLO is measured once per tick. Violation accounting is
+        # controller-independent: one count per evaluation window whose
+        # measured compliance sits below threshold. MS-RA acts on the same
+        # statuses.
+        statuses = [build_status(slo, measure(store, slo, t), StrategyLevel.BEST_EFFORT) for slo in slos]
+        for status in statuses:
             if status.samples_present and status.violated:
-                violations[slo.slo_id] += 1
+                violations[status.slo_id] += 1
         if ctrl.kind == MSRA:
-            result = controller.tick(t, store, sim)
+            result = controller.tick(t, statuses, sim)
+            budget_repr = ""
             if result.min_error_budget is not None:
                 budget_repr = f"{result.min_error_budget:.3f}"
             if result.actions:
@@ -378,6 +361,7 @@ def run_experiment(cfg: ExperimentConfig, profiles: list[str] | None = None) -> 
         reps = tuple(run_single(cfg, ctrl, rep) for rep in range(cfg.repetitions))
         reports.append(RunReport(
             profile=ctrl.name,
+            kind=ctrl.kind,
             avg_replicas=fmean(r.avg_replicas for r in reps),
             cpu=fmean(r.avg_cpu for r in reps),
             mem=fmean(r.avg_mem for r in reps),
@@ -422,13 +406,10 @@ class Summary:
         return "\n".join(lines) + "\n"
 
 
-def summarize(reports: list[RunReport], controllers: tuple[ControllerSpec, ...] | None = None) -> Summary:
+def summarize(reports: list[RunReport]) -> Summary:
     """Comparison table plus pairwise reductions of every SLO-driven profile against every baseline."""
-    kinds = {}
-    if controllers:
-        kinds = {c.name: c.kind for c in controllers}
-    msra_reports = [r for r in reports if kinds.get(r.profile, _kind_from_name(r.profile)) == MSRA]
-    hpa_reports = [r for r in reports if kinds.get(r.profile, _kind_from_name(r.profile)) == HPA]
+    msra_reports = [r for r in reports if r.kind == MSRA]
+    hpa_reports = [r for r in reports if r.kind == HPA]
     reductions = []
     for ms in msra_reports:
         for hpa in hpa_reports:
@@ -439,10 +420,6 @@ def summarize(reports: list[RunReport], controllers: tuple[ControllerSpec, ...] 
                 reduction_pct(ms.mem, hpa.mem),
             ))
     return Summary(rows=list(reports), reductions=reductions)
-
-
-def _kind_from_name(profile: str) -> str:
-    return HPA if profile.upper().startswith("HPA") else MSRA
 
 
 def export(reports: list[RunReport], out_dir: str, export_timeseries: bool = False) -> Summary:

@@ -10,6 +10,7 @@ from msra.controller_msra import (
     POOR,
     MsRaConfig,
     MsRaController,
+    ScalingAction,
     Verdict,
     analyze,
     execute,
@@ -17,7 +18,16 @@ from msra.controller_msra import (
     select_strategy,
 )
 from msra.errors import ConfigurationError
-from msra.slo import FAILURE, LATENCY, SloSpec, SloStatus, StrategyLevel, target_for
+from msra.slo import (
+    FAILURE,
+    LATENCY,
+    SloSpec,
+    SloStatus,
+    StrategyLevel,
+    build_status,
+    measure,
+    target_for,
+)
 from msra.telemetry import MetricSample, MetricStore
 
 from util import one_replica_sim
@@ -46,6 +56,12 @@ def status(measured, threshold=85.0, strategy=StrategyLevel.NORMAL, service="web
         violated=measured < threshold,
         samples_present=present,
     )
+
+
+def measured_statuses(controller, store, now):
+    """Statuses as the harness builds them once per tick."""
+    return [build_status(slo, measure(store, slo, now), StrategyLevel.BEST_EFFORT)
+            for slo in controller.cfg.slos]
 
 
 def view(active=1, ready=None, cpu=200.0, mem=256.0, reqs=None):
@@ -218,14 +234,43 @@ class TestExecute:
 
     def test_scale_up_creates_starting_replica(self):
         sim = one_replica_sim()
-        from msra.controller_msra import ScalingAction
         execute([ScalingAction("svc", horizontal_delta=1)], sim)
         assert sim.service_view("svc").active == 2
         assert sim.service_view("svc").ready == 1
 
+    def test_vertical_then_scale_out_counts_the_surge_once(self):
+        # The +1 lands while the vertical update's surge replica is starting.
+        sim = one_replica_sim(cpu_alloc=200.0)
+        execute([ScalingAction("svc", new_cpu_per_replica=240.0)], sim)
+        execute([ScalingAction("svc", horizontal_delta=1)], sim)
+        sim.advance(60.0)
+        assert sim.service_view("svc").ready == 2
+
+    def test_replica_count_follows_clamped_deltas_during_rollouts(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            lo = rng.randint(1, 3)
+            hi = rng.randint(lo, lo + 4)
+            reqs = ScalingRequirements(min_replicas=lo, max_replicas=hi, min_cpu=50.0,
+                                       max_cpu=2000.0, min_mem=64.0, max_mem=4096.0)
+            expected = rng.randint(lo, hi)
+            sim = one_replica_sim(replicas=expected, startup=5.0, requirements=reqs)
+            replicas = sim.services["svc"].replicas
+            for _ in range(rng.randint(1, 10)):
+                delta = rng.choice((-1, 0, 1))
+                cpu = rng.choice((None, 100.0, 150.0, 200.0))
+                mem = rng.choice((None, 128.0, 256.0))
+                execute([ScalingAction("svc", delta, cpu, mem)], sim)
+                expected = max(lo, min(hi, expected + delta))
+                assert list(replicas) == sorted(replicas)
+                sim.advance(sim.now + rng.uniform(0.5, 4.5))  # shorter than startup: surges overlap
+                assert list(replicas) == sorted(replicas)
+            sim.advance(sim.now + 100.0)
+            final = sim.service_view("svc")
+            assert (final.ready, final.active, final.desired_replicas) == (expected,) * 3
+
     def test_vertical_action_rolls_with_zero_downtime(self):
         sim = one_replica_sim(cpu_alloc=200.0)
-        from msra.controller_msra import ScalingAction
         execute([ScalingAction("svc", new_cpu_per_replica=240.0)], sim)
         assert sim.service_view("svc").ready >= 1
         sim.advance(10.0)
@@ -261,7 +306,7 @@ class TestLoopLiveness:
                 store.record(MetricSample(rec.completion_time, "svc", "response_time", rec.response_time))
                 store.record(MetricSample(rec.completion_time, "svc", "failure", 1.0 if failed else 0.0))
             if t % 15.0 == 0:
-                result = controller.tick(t, store, sim)
+                result = controller.tick(t, measured_statuses(controller, store, t), sim)
                 if result.verdict.value == MET and met_at is None and t > 60:
                     met_at = t
         assert met_at is not None and met_at <= 600.0
@@ -272,7 +317,7 @@ class TestLoopLiveness:
 def test_controller_tick_treats_missing_data_as_met():
     sim = one_replica_sim(service="web")
     controller = MsRaController(cfg())
-    result = controller.tick(15.0, MetricStore(), sim)
+    result = controller.tick(15.0, measured_statuses(controller, MetricStore(), 15.0), sim)
     assert result.verdict.value == MET
     assert result.actions == ()
     assert result.min_error_budget is None
