@@ -11,7 +11,6 @@ from .cluster import (
     ClusterSim,
     ReplicaState,
     RequestRecord,
-    ResourceUsage,
     ScalingRequirements,
     ServerProfile,
 )
@@ -36,6 +35,8 @@ from .errors import (
 from .harness import (
     ControllerSpec,
     ExperimentConfig,
+    HpaSpec,
+    MsRaSpec,
     RunReport,
     ServiceConfig,
     benchmark_preset,

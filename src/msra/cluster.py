@@ -52,7 +52,6 @@ _RESOLVED = "resolved"
 class ServerProfile:
     """Static performance characteristics of one service's replicas."""
 
-    server_kind: str = "web"  # web | application | database; label only
     nominal_service_time: float = 0.5
     reference_cpu: float = 100.0
     startup_duration: float = 5.0
@@ -111,7 +110,6 @@ class ReplicaState:
     cpu_alloc: float
     mem_alloc: float
     phase: str
-    started_at: float
     in_flight: int = 0
     queue: deque = field(default_factory=deque)
     busy_since: float | None = None
@@ -136,19 +134,14 @@ class RequestRecord:
 
 
 @dataclass(frozen=True)
-class ResourceUsage:
-    total_cpu: float
-    total_mem: float
-    ready_replicas: int
-
-
-@dataclass(frozen=True)
 class UsageSample:
     """Busy CPU since the previous sample plus the instantaneous allocation picture."""
 
     used_cpu_seconds: float  # millicpu-seconds of actual serving time
     ready_cpu_alloc: float  # millicpu currently allocated to ready replicas
-    usage: ResourceUsage
+    total_cpu: float  # allocated millicpu, startup surge applied
+    total_mem: float  # modeled MB: base plus per-request memory
+    ready_replicas: int
 
 
 @dataclass(frozen=True)
@@ -256,7 +249,6 @@ class ClusterSim:
                 cpu_alloc=cpu,
                 mem_alloc=mem,
                 phase=READY,
-                started_at=self.now - profile.startup_duration,
             )
             self._log(self.now, "replica_ready", name, rid, "", "initial")
 
@@ -474,7 +466,6 @@ class ClusterSim:
             cpu_alloc=svc.desired_cpu,
             mem_alloc=svc.desired_mem,
             phase=STARTING,
-            started_at=self.now,
         )
         svc.replicas[rid] = rep
         if replaces is not None:
@@ -550,35 +541,27 @@ class ClusterSim:
         )
         self._advance_pipeline(svc)
 
-    def resource_usage(self) -> dict[str, ResourceUsage]:
-        """Allocated CPU (startup surge applied) and modeled memory, per service."""
-        out = {}
-        for name, svc in self.services.items():
-            cpu = 0.0
-            mem = 0.0
-            ready = 0
-            for rep in svc.replicas.values():
-                surge = svc.profile.startup_cpu_surge if rep.phase == STARTING else 1.0
-                cpu += rep.cpu_alloc * surge
-                mem += svc.profile.memory_base + svc.profile.memory_per_inflight * rep.in_flight
-                if rep.phase == READY:
-                    ready += 1
-            out[name] = ResourceUsage(total_cpu=cpu, total_mem=mem, ready_replicas=ready)
-        return out
-
     def take_usage_sample(self) -> dict[str, UsageSample]:
         """Busy CPU-seconds since the last sample plus current allocations, per service."""
-        usages = self.resource_usage()
         out = {}
         for name, svc in self.services.items():
+            profile = svc.profile
+            cpu = mem = alloc_ready = 0.0
+            ready = 0
             for rep in svc.replicas.values():
                 if rep.busy_since is not None:
                     svc.used_cpu_seconds += rep.cpu_alloc * (self.now - rep.busy_since)
                     rep.busy_since = self.now
+                surge = profile.startup_cpu_surge if rep.phase == STARTING else 1.0
+                cpu += rep.cpu_alloc * surge
+                mem += profile.memory_base + profile.memory_per_inflight * rep.in_flight
+                if rep.phase == READY:
+                    ready += 1
+                    alloc_ready += rep.cpu_alloc
             delta = svc.used_cpu_seconds - svc.usage_mark
             svc.usage_mark = svc.used_cpu_seconds
-            alloc_ready = sum(r.cpu_alloc for r in svc.replicas.values() if r.phase == READY)
-            out[name] = UsageSample(used_cpu_seconds=delta, ready_cpu_alloc=alloc_ready, usage=usages[name])
+            out[name] = UsageSample(used_cpu_seconds=delta, ready_cpu_alloc=alloc_ready,
+                                    total_cpu=cpu, total_mem=mem, ready_replicas=ready)
         return out
 
     # ------------------------------------------------------------ introspection

@@ -62,29 +62,42 @@ class HpaDecision:
     applied: bool
     note: str = ""
 
+    def rows(self, service: str) -> list[list[str]]:
+        """The decisions.csv row of this sync; verdict, strategy and budget stay blank."""
+        action = f"replicas->{self.target}" if self.applied else "none"
+        reason = self.note or f"utilization={self.utilization:.2f}%"
+        return [[f"{self.time:.1f}", "", "", service, action, reason, ""]]
+
 
 class HpaController:
-    """Periodic sync loop for one service."""
+    """Periodic sync loop for one service, reading utilization from ``store``."""
 
-    def __init__(self, cfg: HpaConfig, service: str):
+    def __init__(self, cfg: HpaConfig, service: str, store: MetricStore):
         self.cfg = cfg
         self.service = service
+        self.store = store
+        self._used = MetricWindow("cpu_usage", cfg.sync_period, "mean")
+        self._alloc = MetricWindow("cpu_alloc", cfg.sync_period, "mean")
         self._history: deque[tuple[float, int]] = deque()
 
-    def utilization(self, store: MetricStore, now: float) -> float | None:
+    def utilization(self, now: float) -> float | None:
         """Percent CPU utilization over the last sync period: used / allocated on ready replicas."""
-        window = MetricWindow("cpu_usage", self.cfg.sync_period, "mean")
-        used = store.aggregate(self.service, window, now)
-        alloc = store.aggregate(self.service, MetricWindow("cpu_alloc", self.cfg.sync_period, "mean"), now)
+        used = self.store.aggregate(self.service, self._used, now)
+        alloc = self.store.aggregate(self.service, self._alloc, now)
         if used is None or alloc is None or alloc == 0:
             return None
         return 100.0 * used / alloc
 
-    def tick(self, now: float, store: MetricStore, sim: ClusterSim) -> HpaDecision:
+    def tick(self, now: float, statuses, sim: ClusterSim) -> HpaDecision:
+        """One sync: scale the replica count toward the CPU utilization target.
+
+        ``statuses`` is not read: the HPA ignores SLOs by design and scales on
+        utilization alone. It takes them so both controllers share one call.
+        """
         view = sim.service_view(self.service)
         if view.ready == 0:
             return HpaDecision(now, None, None, None, False, "no ready replicas")
-        util = self.utilization(store, now)
+        util = self.utilization(now)
         if util is None:
             return HpaDecision(now, None, None, None, False, "no utilization samples")
         # Scale from the replica count last asked for, as the Kubernetes HPA

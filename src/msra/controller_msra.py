@@ -35,7 +35,6 @@ class MsRaConfig:
     preferred_strategy: StrategyLevel = StrategyLevel.NORMAL
     vertical_cpu_rate: float = 20.0  # percent added to (removed from) each replica's CPU
     vertical_mem_rate: float = 20.0
-    evaluation_interval: float = 15.0
     cooldown: float = 30.0
     exceed_hysteresis: float = 2.0  # percentage points above target before "exceeded"
     tight_budget_threshold: float = 2.0  # budgets below this force conservative
@@ -45,8 +44,8 @@ class MsRaConfig:
             raise ConfigurationError("at least one SLO is required")
         if self.vertical_cpu_rate < 0 or self.vertical_mem_rate < 0:
             raise ConfigurationError("vertical rates must be non-negative")
-        if self.evaluation_interval <= 0 or self.cooldown < 0:
-            raise ConfigurationError("intervals must be positive")
+        if self.cooldown < 0:
+            raise ConfigurationError("cooldown must be non-negative")
         if self.exceed_hysteresis < 0:
             raise ConfigurationError("exceed_hysteresis must be non-negative")
 
@@ -65,6 +64,17 @@ class ScalingAction:
     new_mem_per_replica: float | None = None
     reason: str = ""
 
+    def describe(self) -> str:
+        """The decisions.csv action cell, e.g. ``replicas+1;cpu=600;mem=307.2``."""
+        parts = []
+        if self.horizontal_delta:
+            parts.append(f"replicas{self.horizontal_delta:+d}")
+        if self.new_cpu_per_replica is not None:
+            parts.append(f"cpu={self.new_cpu_per_replica:g}")
+        if self.new_mem_per_replica is not None:
+            parts.append(f"mem={self.new_mem_per_replica:g}")
+        return ";".join(parts) if parts else "none"
+
 
 @dataclass
 class TickResult:
@@ -75,6 +85,22 @@ class TickResult:
     actions: tuple[ScalingAction, ...]
     min_error_budget: float | None
 
+    def rows(self, service: str) -> list[list[str]]:
+        """decisions.csv rows: one per action, or one ``none`` row for ``service``."""
+        head = [f"{self.time:.1f}", self.verdict.value, self.strategy.value]
+        budget = "" if self.min_error_budget is None else f"{self.min_error_budget:.3f}"
+        if self.actions:
+            return [head + [a.service, a.describe(), a.reason, budget] for a in self.actions]
+        note = ""
+        if any(not s.samples_present for s in self.statuses):
+            note = "window without samples treated as met"
+        return [head + [service, "none", note, budget]]
+
+
+def _exceeds(status: SloStatus, cfg: MsRaConfig) -> bool:
+    """Measured far enough above the strategy's target to release capacity."""
+    return status.samples_present and status.measured_compliance >= status.target + cfg.exceed_hysteresis
+
 
 def analyze(statuses, cfg: MsRaConfig) -> Verdict:
     """Holistic verdict over all SLOs: poor beats exceeded beats met."""
@@ -84,7 +110,7 @@ def analyze(statuses, cfg: MsRaConfig) -> Verdict:
     present = [s for s in statuses if s.samples_present]
     if any(s.violated for s in present):
         return Verdict(POOR, statuses)
-    if any(s.measured_compliance >= s.target + cfg.exceed_hysteresis for s in present):
+    if any(_exceeds(s, cfg) for s in present):
         return Verdict(EXCEEDED, statuses)
     return Verdict(MET, statuses)
 
@@ -119,10 +145,7 @@ def plan(
     if verdict.value == POOR:
         trigger = [s for s in verdict.per_slo if s.samples_present and s.violated]
     else:
-        trigger = [
-            s for s in verdict.per_slo
-            if s.samples_present and s.measured_compliance >= s.target + cfg.exceed_hysteresis
-        ]
+        trigger = [s for s in verdict.per_slo if _exceeds(s, cfg)]
     actions = []
     for service in sorted({s.service for s in trigger}):
         if now - last_action.get(service, float("-inf")) < cfg.cooldown:

@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 from statistics import fmean
+from typing import ClassVar
 
 from .cluster import ClusterSim, ScalingRequirements, ServerProfile
 from .controller_hpa import HpaConfig, HpaController
@@ -30,19 +31,6 @@ DECISION_HEADER = ["time", "verdict", "strategy", "service", "action", "reason",
 SUMMARY_HEADER = ["profile", "avg_replicas", "avg_cpu_millicpu", "avg_mem_mb",
                   "slo1_violations", "slo2_violations"]
 
-# Benchmark parameter table: (X, Y, vertical rate) per SLO-driven profile and
-# (cpu threshold, stabilization) per baseline profile.
-TABLE_MSRA = {
-    "MS-RA-A": (95.0, 0.5, 20.0, StrategyLevel.CONSERVATIVE),
-    "MS-RA-B": (90.0, 1.0, 10.0, StrategyLevel.NORMAL),
-    "MS-RA-C": (85.0, 2.0, 0.0, StrategyLevel.BEST_EFFORT),
-}
-TABLE_HPA = {
-    "HPA-A": (60.0, 95.0, 0.5, 90.0),
-    "HPA-B": (70.0, 90.0, 1.0, 90.0),
-    "HPA-C": (80.0, 85.0, 2.0, 45.0),
-}
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -56,36 +44,18 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """One named controller profile; ``kind`` selects which engine runs it."""
+    """What every controller profile has: a name and the SLO pair its violations count against.
+
+    ``MsRaSpec`` and ``HpaSpec`` add their engine's fields, a ``kind``, the
+    ``control_interval`` the harness ticks at, and ``controller()``, which
+    builds the engine for one run.
+    """
 
     name: str
-    kind: str
     slo1_threshold: float  # X: percent of requests within the deadline
     slo2_threshold: float  # Y: failure-rate ceiling, percent
     slo1_deadline: float = 2.5
     slo_window: float = 60.0
-    # SLO-driven engine
-    preferred_strategy: str = "normal"
-    vertical_cpu_rate: float = 0.0
-    vertical_mem_rate: float = 0.0
-    evaluation_interval: float = 15.0
-    cooldown: float = 30.0
-    exceed_hysteresis: float = 2.0
-    tight_budget_threshold: float = 2.0
-    # utilization baseline engine
-    cpu_threshold: float = 80.0
-    stabilization_window: float = 90.0
-    sync_period: float = 15.0
-
-    def __post_init__(self):
-        if self.kind not in (MSRA, HPA):
-            raise ConfigurationError(f"unknown controller kind {self.kind!r}")
-        if self.preferred_strategy not in [s.value for s in StrategyLevel]:
-            raise ConfigurationError(f"unknown strategy {self.preferred_strategy!r}")
-
-    @property
-    def control_interval(self) -> float:
-        return self.evaluation_interval if self.kind == MSRA else self.sync_period
 
     def slo_specs(self, service: str) -> tuple[SloSpec, SloSpec]:
         return (
@@ -94,26 +64,61 @@ class ControllerSpec:
             SloSpec("SLO2", FAILURE, self.slo2_threshold, service, window_length=self.slo_window),
         )
 
-    def msra_config(self, service: str) -> MsRaConfig:
-        return MsRaConfig(
+
+@dataclass(frozen=True)
+class MsRaSpec(ControllerSpec):
+    """An SLO-driven profile."""
+
+    kind: ClassVar[str] = MSRA
+    preferred_strategy: str = "normal"
+    vertical_cpu_rate: float = 0.0
+    vertical_mem_rate: float = 0.0
+    evaluation_interval: float = 15.0
+    cooldown: float = 30.0
+    exceed_hysteresis: float = 2.0
+    tight_budget_threshold: float = 2.0
+
+    def __post_init__(self):
+        if self.preferred_strategy not in [s.value for s in StrategyLevel]:
+            raise ConfigurationError(f"unknown strategy {self.preferred_strategy!r}")
+
+    @property
+    def control_interval(self) -> float:
+        return self.evaluation_interval
+
+    def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> MsRaController:
+        return MsRaController(MsRaConfig(
             slos=self.slo_specs(service),
             preferred_strategy=StrategyLevel(self.preferred_strategy),
             vertical_cpu_rate=self.vertical_cpu_rate,
             vertical_mem_rate=self.vertical_mem_rate,
-            evaluation_interval=self.evaluation_interval,
             cooldown=self.cooldown,
             exceed_hysteresis=self.exceed_hysteresis,
             tight_budget_threshold=self.tight_budget_threshold,
-        )
+        ))
 
-    def hpa_config(self, requirements: ScalingRequirements) -> HpaConfig:
-        return HpaConfig(
+
+@dataclass(frozen=True)
+class HpaSpec(ControllerSpec):
+    """A utilization-driven baseline profile; its SLOs only count violations."""
+
+    kind: ClassVar[str] = HPA
+    cpu_threshold: float = 80.0
+    stabilization_window: float = 90.0
+    sync_period: float = 15.0
+
+    @property
+    def control_interval(self) -> float:
+        return self.sync_period
+
+    def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> HpaController:
+        return HpaController(HpaConfig(
             cpu_threshold=self.cpu_threshold,
             stabilization_window=self.stabilization_window,
             sync_period=self.sync_period,
             min_replicas=requirements.min_replicas,
             max_replicas=requirements.max_replicas,
-        )
+        ), service, store)
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,6 @@ def benchmark_preset(repetitions: int = 10, seed: int = 42) -> ExperimentConfig:
     service = ServiceConfig(
         name="frontend",
         profile=ServerProfile(
-            server_kind="web",
             nominal_service_time=0.5,
             reference_cpu=100.0,
             startup_duration=5.0,
@@ -208,24 +212,21 @@ def benchmark_preset(repetitions: int = 10, seed: int = 42) -> ExperimentConfig:
         initial_cpu=500.0,
         initial_mem=256.0,
     )
-    controllers = []
-    for name, (x, y, rate, strategy) in TABLE_MSRA.items():
-        controllers.append(ControllerSpec(
-            name=name, kind=MSRA,
-            slo1_threshold=x, slo2_threshold=y,
-            preferred_strategy=strategy.value,
-            vertical_cpu_rate=rate, vertical_mem_rate=rate,
-        ))
-    for name, (threshold, x, y, stabilization) in TABLE_HPA.items():
-        controllers.append(ControllerSpec(
-            name=name, kind=HPA,
-            slo1_threshold=x, slo2_threshold=y,
-            cpu_threshold=threshold, stabilization_window=stabilization,
-        ))
+    controllers = (  # name, SLO1 X, SLO2 Y, then the engine's parameters
+        MsRaSpec("MS-RA-A", 95.0, 0.5, preferred_strategy="conservative",
+                 vertical_cpu_rate=20.0, vertical_mem_rate=20.0),
+        MsRaSpec("MS-RA-B", 90.0, 1.0, preferred_strategy="normal",
+                 vertical_cpu_rate=10.0, vertical_mem_rate=10.0),
+        MsRaSpec("MS-RA-C", 85.0, 2.0, preferred_strategy="best_effort",
+                 vertical_cpu_rate=0.0, vertical_mem_rate=0.0),
+        HpaSpec("HPA-A", 95.0, 0.5, cpu_threshold=60.0, stabilization_window=90.0),
+        HpaSpec("HPA-B", 90.0, 1.0, cpu_threshold=70.0, stabilization_window=90.0),
+        HpaSpec("HPA-C", 85.0, 2.0, cpu_threshold=80.0, stabilization_window=45.0),
+    )
     return ExperimentConfig(
         services=(service,),
         workload=benchmark_profile("frontend"),
-        controllers=tuple(controllers),
+        controllers=controllers,
         repetitions=repetitions,
         seed=seed,
     )
@@ -244,11 +245,8 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     ClosedLoopDriver(sim, cfg.workload, seed=cfg.seed + repetition)
     service = cfg.workload.target_service
     slos = ctrl.slo_specs(service)
-    if ctrl.kind == MSRA:
-        controller = MsRaController(ctrl.msra_config(service))
-    else:
-        requirements = next(sc.requirements for sc in cfg.services if sc.name == service)
-        controller = HpaController(ctrl.hpa_config(requirements), service)
+    requirements = next(sc.requirements for sc in cfg.services if sc.name == service)
+    controller = ctrl.controller(service, requirements, store)
 
     horizon = cfg.workload.total_duration
     steps = round(horizon / cfg.metrics_interval)
@@ -269,10 +267,9 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
                 used_mcpu = u.used_cpu_seconds / cfg.metrics_interval
                 store.record(MetricSample(t, name, "cpu_usage", used_mcpu))
                 store.record(MetricSample(t, name, "cpu_alloc", u.ready_cpu_alloc))
-                store.record(MetricSample(t, name, "mem_usage", u.usage.total_mem))
-            ready += u.usage.ready_replicas
-            cpu += u.usage.total_cpu
-            mem += u.usage.total_mem
+            ready += u.ready_replicas
+            cpu += u.total_cpu
+            mem += u.total_mem
         samples.append((t, int(ready), cpu, mem))
 
     sample_usage(0.0, record_metrics=False)
@@ -295,31 +292,7 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
         for status in statuses:
             if status.samples_present and status.violated:
                 violations[status.slo_id] += 1
-        if ctrl.kind == MSRA:
-            result = controller.tick(t, statuses, sim)
-            budget_repr = ""
-            if result.min_error_budget is not None:
-                budget_repr = f"{result.min_error_budget:.3f}"
-            if result.actions:
-                for action in result.actions:
-                    decisions.append([
-                        f"{t:.1f}", result.verdict.value, result.strategy.value, action.service,
-                        _describe_action(action), action.reason, budget_repr,
-                    ])
-            else:
-                note = ""
-                if any(not s.samples_present for s in result.statuses):
-                    note = "window without samples treated as met"
-                decisions.append([f"{t:.1f}", result.verdict.value, result.strategy.value,
-                                  service, "none", note, budget_repr])
-        else:
-            decision = controller.tick(t, store, sim)
-            if decision.applied:
-                act = f"replicas->{decision.target}"
-            else:
-                act = "none"
-            reason = decision.note or f"utilization={decision.utilization:.2f}%"
-            decisions.append([f"{t:.1f}", "", "", service, act, reason, ""])
+        decisions.extend(controller.tick(t, statuses, sim).rows(service))
 
     return RepResult(
         profile=ctrl.name,
@@ -334,17 +307,6 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
         samples=samples,
         decisions=decisions,
     )
-
-
-def _describe_action(action) -> str:
-    parts = []
-    if action.horizontal_delta:
-        parts.append(f"replicas{action.horizontal_delta:+d}")
-    if action.new_cpu_per_replica is not None:
-        parts.append(f"cpu={action.new_cpu_per_replica:g}")
-    if action.new_mem_per_replica is not None:
-        parts.append(f"mem={action.new_mem_per_replica:g}")
-    return ";".join(parts) if parts else "none"
 
 
 def run_experiment(cfg: ExperimentConfig, profiles: list[str] | None = None) -> list[RunReport]:
@@ -481,7 +443,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "think_time": cfg.workload.think_time,
             "think_jitter": cfg.workload.think_jitter,
         },
-        "controllers": [vars(c).copy() for c in cfg.controllers],
+        "controllers": [{"name": c.name, "kind": c.kind, **vars(c)} for c in cfg.controllers],
     }
 
 
@@ -504,7 +466,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             think_time=data["workload"].get("think_time", 1.0),
             think_jitter=data["workload"].get("think_jitter", 0.0),
         )
-        controllers = tuple(ControllerSpec(**c) for c in data["controllers"])
+        controllers = tuple(_spec_from_dict(c) for c in data["controllers"])
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"bad experiment configuration: {exc}") from exc
     return ExperimentConfig(
@@ -516,6 +478,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         timeout=data.get("timeout", 10.0),
         metrics_interval=data.get("metrics_interval", 5.0),
     )
+
+
+def _spec_from_dict(data: dict) -> ControllerSpec:
+    fields = dict(data)
+    kind = fields.pop("kind")
+    spec = {MSRA: MsRaSpec, HPA: HpaSpec}.get(kind)
+    if spec is None:
+        raise ConfigurationError(f"unknown controller kind {kind!r}")
+    return spec(**fields)
 
 
 def load_config(path: str) -> ExperimentConfig:

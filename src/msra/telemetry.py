@@ -15,7 +15,7 @@ from statistics import fmean
 
 from .errors import ConfigurationError, SchemaViolation
 
-DEFAULT_METRICS = ("response_time", "failure", "cpu_usage", "mem_usage", "cpu_alloc")
+DEFAULT_METRICS = ("response_time", "failure", "cpu_usage", "cpu_alloc")
 
 AGGREGATIONS = ("fraction_within_deadline", "fraction_true", "mean", "p95", "max")
 

@@ -173,7 +173,7 @@ class TestConservationAndDeterminism:
 class TestResourceUsage:
     def test_idle_ready_replica_uses_base_memory(self):
         sim = one_replica_sim()
-        usage = sim.resource_usage()["svc"]
+        usage = sim.take_usage_sample()["svc"]
         assert usage.total_mem == 100.0
         assert usage.ready_replicas == 1
 
@@ -183,7 +183,7 @@ class TestResourceUsage:
                                                                min_cpu=50.0, max_cpu=2000.0,
                                                                min_mem=64.0, max_mem=4096.0))
         sim.apply_rolling_update("svc", 2)
-        usage = sim.resource_usage()["svc"]
+        usage = sim.take_usage_sample()["svc"]
         assert usage.total_cpu == 200.0 + 200.0 * 1.5
         assert usage.ready_replicas == 1
 
@@ -191,7 +191,7 @@ class TestResourceUsage:
         sim = one_replica_sim(replicas=2)
         for replica in sim.services["svc"].replicas.values():
             replica.in_flight = 3  # direct arithmetic check over synthetic state
-        usage = sim.resource_usage()["svc"]
+        usage = sim.take_usage_sample()["svc"]
         assert usage.total_mem == 260.0
 
 

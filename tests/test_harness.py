@@ -7,8 +7,9 @@ from msra.cluster import ScalingRequirements, ServerProfile
 from msra.errors import ConfigurationError
 from msra import cli
 from msra.harness import (
-    ControllerSpec,
     ExperimentConfig,
+    HpaSpec,
+    MsRaSpec,
     RunReport,
     ServiceConfig,
     benchmark_preset,
@@ -38,11 +39,10 @@ def small_config(phases=((60.0, 2), (60.0, 4)), repetitions=1, controllers=None)
         initial_mem=128.0,
     )
     controllers = controllers or (
-        ControllerSpec(name="MS-RA-A", kind="msra", slo1_threshold=95.0, slo2_threshold=0.5,
-                       preferred_strategy="conservative", vertical_cpu_rate=20.0,
-                       vertical_mem_rate=20.0),
-        ControllerSpec(name="HPA-A", kind="hpa", slo1_threshold=95.0, slo2_threshold=0.5,
-                       cpu_threshold=60.0),
+        MsRaSpec(name="MS-RA-A", slo1_threshold=95.0, slo2_threshold=0.5,
+                 preferred_strategy="conservative", vertical_cpu_rate=20.0,
+                 vertical_mem_rate=20.0),
+        HpaSpec(name="HPA-A", slo1_threshold=95.0, slo2_threshold=0.5, cpu_threshold=60.0),
     )
     return ExperimentConfig(
         services=(service,),
@@ -83,6 +83,35 @@ class TestRunSingle:
         rep_hpa = run_single(cfg, cfg.controllers[1], 0)
         # baseline leaves verdict/strategy columns empty
         assert all(row[1] == "" and row[2] == "" for row in rep_hpa.decisions)
+
+    def test_decision_rows_are_pinned(self):
+        # Literal rows, so a formatting slip fails here and not only in the benchmark digests.
+        cfg = small_config(phases=((60.0, 4), (180.0, 16)))
+        msra, hpa = ([",".join(row) for row in run_single(cfg, ctrl, 0).decisions]
+                     for ctrl in cfg.controllers)
+        met = "met,conservative,frontend,none,,0.500"
+        assert msra == [f"{t:.1f},{met}" for t in (15, 30, 45, 60)] + [
+            "75.0,poor,conservative,frontend,replicas+1;cpu=240;mem=153.6,verdict poor: scale up,-19.510",
+            "90.0,poor,conservative,frontend,none,,-18.793",
+            "105.0,poor,conservative,frontend,replicas+1;cpu=288;mem=184.32,verdict poor: scale up,-12.876",
+            "120.0,poor,conservative,frontend,none,,-7.921",
+        ] + [f"{t:.1f},{met}" for t in range(135, 241, 15)]
+        assert hpa == [
+            "15.0,,,frontend,replicas->2,utilization=80.00%,",
+            "30.0,,,frontend,none,utilization=40.00%,",
+            "45.0,,,frontend,none,utilization=40.00%,",
+            "60.0,,,frontend,none,utilization=40.00%,",
+            "75.0,,,frontend,replicas->4,utilization=100.00%,",
+            "90.0,,,frontend,replicas->6,utilization=76.67%,",
+        ] + [f"{t:.1f},,,frontend,none,utilization=53.33%," for t in range(105, 241, 15)]
+
+    def test_idle_decision_rows_are_pinned(self):
+        cfg = small_config(phases=((120.0, 0),))
+        msra, hpa = (run_single(cfg, ctrl, 0).decisions for ctrl in cfg.controllers)
+        assert msra == [[f"{t:.1f}", "met", "conservative", "frontend", "none",
+                         "window without samples treated as met", ""] for t in range(15, 121, 15)]
+        assert hpa == [[f"{t:.1f}", "", "", "frontend", "none", "utilization=0.00%", ""]
+                       for t in range(15, 121, 15)]
 
 
 class TestRunExperiment:
@@ -147,9 +176,8 @@ class TestExport:
 
     def test_reductions_grouped_by_kind_not_name(self, tmp_path):
         cfg = small_config(controllers=(
-            ControllerSpec(name="MS-RA-A", kind="msra", slo1_threshold=95.0, slo2_threshold=0.5),
-            ControllerSpec(name="baseline", kind="hpa", slo1_threshold=95.0, slo2_threshold=0.5,
-                           cpu_threshold=60.0),
+            MsRaSpec(name="MS-RA-A", slo1_threshold=95.0, slo2_threshold=0.5),
+            HpaSpec(name="baseline", slo1_threshold=95.0, slo2_threshold=0.5, cpu_threshold=60.0),
         ))
         export(run_experiment(cfg), str(tmp_path / "out"))
         text = (tmp_path / "out" / "summary.txt").read_text()
@@ -176,8 +204,18 @@ class TestConfigSerialization:
         assert config_from_dict(data) == cfg
 
     def test_bad_kind_rejected(self):
+        data = config_to_dict(small_config())
+        data["controllers"][0]["kind"] = "vpa"
         with pytest.raises(ConfigurationError):
-            ControllerSpec(name="x", kind="vpa", slo1_threshold=95.0, slo2_threshold=0.5)
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("kind, foreign_key", [("hpa", "vertical_cpu_rate"), ("msra", "cpu_threshold")])
+    def test_other_kinds_key_rejected(self, kind, foreign_key):
+        data = config_to_dict(small_config())
+        profile = next(c for c in data["controllers"] if c["kind"] == kind)
+        profile[foreign_key] = 50.0
+        with pytest.raises(ConfigurationError):
+            config_from_dict(data)
 
     def test_control_interval_must_align_with_metrics(self):
         with pytest.raises(ConfigurationError):

@@ -66,8 +66,8 @@ def feed_utilization(store, service, t, util_pct, alloc):
 class TestTick:
     def make(self, replicas=2):
         sim = one_replica_sim(nominal=0.5, cpu_alloc=100.0, replicas=replicas, startup=1.0)
-        controller = HpaController(CFG60, "svc")
-        return sim, controller, MetricStore()
+        store = MetricStore()
+        return sim, HpaController(CFG60, "svc", store), store
 
     def test_scale_down_waits_for_window_scale_up_does_not(self):
         sim, controller, store = self.make(replicas=2)
@@ -77,7 +77,7 @@ class TestTick:
             sim.advance(t)
             alloc = sim.take_usage_sample()["svc"].ready_cpu_alloc or 100.0
             feed_utilization(store, "svc", t, util, alloc)
-            controller.tick(t, store, sim)
+            controller.tick(t, (), sim)
             actives.append(sim.service_view("svc").active)
         # ramp 2->3->5; the drop to 1 is held at 5 until the high raws age out
         # of the 40s window (last raw 5 recorded at t=30); spike rescales at once
@@ -88,7 +88,7 @@ class TestTick:
         for t in (15.0, 30.0, 45.0):
             sim.advance(t)
             feed_utilization(store, "svc", t, 95.0, 100.0)
-            controller.tick(t, store, sim)
+            controller.tick(t, (), sim)
         assert all(r.cpu_alloc == 100.0 for r in sim.services["svc"].replicas.values())
         assert sim.service_view("svc").active > 1
 
@@ -96,21 +96,21 @@ class TestTick:
         sim, controller, store = self.make(replicas=2)
         sim.advance(15.0)
         feed_utilization(store, "svc", 15.0, 60.0, 200.0)
-        decision = controller.tick(15.0, store, sim)
+        decision = controller.tick(15.0, (), sim)
         assert not decision.applied
         assert sim.service_view("svc").active == 2
 
     def test_no_samples_is_noop_with_note(self):
         sim, controller, store = self.make()
         sim.advance(15.0)
-        decision = controller.tick(15.0, store, sim)
+        decision = controller.tick(15.0, (), sim)
         assert not decision.applied
         assert decision.note == "no utilization samples"
 
     def test_no_ready_replicas_is_noop_with_note(self):
         sim, controller, store = self.make(replicas=1)
         next(iter(sim.services["svc"].replicas.values())).phase = STARTING  # synthetic
-        decision = controller.tick(15.0, store, sim)
+        decision = controller.tick(15.0, (), sim)
         assert not decision.applied
         assert decision.note == "no ready replicas"
 
@@ -118,12 +118,12 @@ class TestTick:
         cfg = HpaConfig(cpu_threshold=60.0, stabilization_window=40.0, sync_period=15.0,
                         min_replicas=1, max_replicas=3)
         sim = one_replica_sim(nominal=0.5, cpu_alloc=100.0, replicas=2, startup=1.0)
-        controller = HpaController(cfg, "svc")
         store = MetricStore()
+        controller = HpaController(cfg, "svc", store)
         for t in (15.0, 30.0, 45.0, 60.0):
             sim.advance(t)
             feed_utilization(store, "svc", t, 100.0, 100.0)
-            controller.tick(t, store, sim)
+            controller.tick(t, (), sim)
         assert sim.service_view("svc").active == 3
 
 

@@ -289,8 +289,7 @@ class TestLoopLiveness:
         slo2 = SloSpec("SLO2", FAILURE, 2.0, "svc", window_length=60.0)
         controller = MsRaController(MsRaConfig(
             slos=(slo1, slo2), preferred_strategy=StrategyLevel.CONSERVATIVE,
-            vertical_cpu_rate=20.0, vertical_mem_rate=20.0,
-            evaluation_interval=15.0, cooldown=30.0,
+            vertical_cpu_rate=20.0, vertical_mem_rate=20.0, cooldown=30.0,
         ))
         store = MetricStore()
         arrivals = deque((i / 3.0, "svc") for i in range(1800))
