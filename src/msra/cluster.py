@@ -120,20 +120,6 @@ class ReplicaState:
 
 
 @dataclass(frozen=True)
-class RequestRecord:
-    request_id: int
-    service: str
-    arrival_time: float
-    start_service_time: float | None
-    completion_time: float
-    outcome: str
-
-    @property
-    def response_time(self) -> float:
-        return self.completion_time - self.arrival_time
-
-
-@dataclass(frozen=True)
 class UsageSample:
     """Busy CPU since the previous sample plus the instantaneous allocation picture."""
 
@@ -157,16 +143,27 @@ class ServiceView:
     requirements: ScalingRequirements
 
 
-class _Request:
-    __slots__ = ("request_id", "service", "arrival_time", "start_service_time", "replica_id", "state")
+class RequestRecord:
+    """One request, carried by its events and queues; ``outcome`` and
+    ``completion_time`` are set when it resolves. Equality is identity, so
+    ``deque.remove`` finds this very request."""
+
+    __slots__ = ("request_id", "service", "arrival_time", "start_service_time",
+                 "completion_time", "outcome", "replica_id", "state")
 
     def __init__(self, request_id: int, service: str, arrival_time: float):
         self.request_id = request_id
         self.service = service
         self.arrival_time = arrival_time
         self.start_service_time: float | None = None
+        self.completion_time: float | None = None
+        self.outcome: str | None = None
         self.replica_id: int | None = None
         self.state = _PENDING
+
+    @property
+    def response_time(self) -> float:
+        return self.completion_time - self.arrival_time
 
 
 class _Service:
@@ -209,7 +206,6 @@ class ClusterSim:
         self._seq = 0
         self._next_replica_id = 0
         self._next_request_id = 0
-        self._requests: dict[int, _Request] = {}
         self._interval_records: list[RequestRecord] = []
 
     # ------------------------------------------------------------------ setup
@@ -268,9 +264,9 @@ class ClusterSim:
             raise InputError(f"arrival at {time} is in the past (now={self.now})")
         rid = self._next_request_id
         self._next_request_id += 1
-        self._requests[rid] = _Request(rid, service, time)
-        self._push(time, ARRIVAL, rid)
-        self._push(time + self.timeout, TIMEOUT, rid)
+        req = RequestRecord(rid, service, time)
+        self._push(time, ARRIVAL, req)
+        self._push(time + self.timeout, TIMEOUT, req)
         return rid
 
     def _push(self, time: float, kind: int, payload) -> None:
@@ -323,14 +319,13 @@ class ClusterSim:
 
     # request lifecycle -------------------------------------------------------
 
-    def _on_arrival(self, rid: int) -> None:
-        req = self._requests[rid]
+    def _on_arrival(self, req: RequestRecord) -> None:
         svc = self.services[req.service]
         if self.log_requests:
-            self._log(self.now, "arrival", svc.name, "", rid, "")
+            self._log(self.now, "arrival", svc.name, "", req.request_id, "")
         self._dispatch(svc, req)
 
-    def _dispatch(self, svc: _Service, req: _Request) -> None:
+    def _dispatch(self, svc: _Service, req: RequestRecord) -> None:
         best = None
         for rep in svc.replicas.values():
             if rep.phase != READY:
@@ -339,56 +334,50 @@ class ClusterSim:
                 best = rep
         if best is None:
             req.state = _PENDING
-            svc.pending.append(req.request_id)
+            svc.pending.append(req)
             return
         if best.in_flight == 0:
             self._start_service(svc, best, req)
         else:
             req.state = _QUEUED
             req.replica_id = best.replica_id
-            best.queue.append(req.request_id)
+            best.queue.append(req)
 
-    def _start_service(self, svc: _Service, rep: ReplicaState, req: _Request) -> None:
+    def _start_service(self, svc: _Service, rep: ReplicaState, req: RequestRecord) -> None:
         req.state = _SERVING
         req.replica_id = rep.replica_id
         req.start_service_time = self.now
         rep.in_flight = 1
         rep.busy_since = self.now
         s_eff = svc.profile.nominal_service_time * svc.profile.reference_cpu / rep.cpu_alloc
-        self._push(self.now + s_eff, COMPLETE, req.request_id)
+        self._push(self.now + s_eff, COMPLETE, req)
         if self.log_requests:
             self._log(self.now, "start", svc.name, rep.replica_id, req.request_id, "")
 
-    def _on_complete(self, rid: int) -> None:
-        req = self._requests[rid]
+    def _on_complete(self, req: RequestRecord) -> None:
         if req.state != _SERVING:
             return  # aborted by timeout before this completion fired
         svc = self.services[req.service]
         rep = svc.replicas[req.replica_id]
         self._finish_service(svc, rep)
-        self._resolve(req, COMPLETED, self.now)
+        self._resolve(req, COMPLETED)
         self._start_next(svc, rep)
 
-    def _on_timeout(self, rid: int) -> None:
-        req = self._requests[rid]
-        if req.state == _RESOLVED:
+    def _on_timeout(self, req: RequestRecord) -> None:
+        state = req.state
+        if state == _RESOLVED:
             return
         svc = self.services[req.service]
-        if req.state == _PENDING:
-            svc.pending.remove(rid)
-        elif req.state == _QUEUED:
-            rep = svc.replicas[req.replica_id]
-            rep.queue.remove(rid)
-            self._resolve(req, FAILED_TIMEOUT, self.now)
-            self._maybe_remove(svc, rep)
-            return
-        elif req.state == _SERVING:
+        if state == _PENDING:
+            svc.pending.remove(req)
+        elif state == _QUEUED:
+            svc.replicas[req.replica_id].queue.remove(req)  # its replica still serves: not removable
+        else:
             rep = svc.replicas[req.replica_id]
             self._finish_service(svc, rep)
-            self._resolve(req, FAILED_TIMEOUT, self.now)
+        self._resolve(req, FAILED_TIMEOUT)
+        if state == _SERVING:
             self._start_next(svc, rep)
-            return
-        self._resolve(req, FAILED_TIMEOUT, self.now)
 
     def _finish_service(self, svc: _Service, rep: ReplicaState) -> None:
         svc.used_cpu_seconds += rep.cpu_alloc * (self.now - rep.busy_since)
@@ -397,27 +386,21 @@ class ClusterSim:
 
     def _start_next(self, svc: _Service, rep: ReplicaState) -> None:
         if rep.queue:
-            self._start_service(svc, rep, self._requests[rep.queue.popleft()])
+            self._start_service(svc, rep, rep.queue.popleft())
         else:
             self._maybe_remove(svc, rep)
 
-    def _resolve(self, req: _Request, outcome: str, completion: float) -> None:
+    def _resolve(self, req: RequestRecord, outcome: str) -> None:
         req.state = _RESOLVED
-        record = RequestRecord(
-            request_id=req.request_id,
-            service=req.service,
-            arrival_time=req.arrival_time,
-            start_service_time=req.start_service_time,
-            completion_time=completion,
-            outcome=outcome,
-        )
-        self._interval_records.append(record)
+        req.outcome = outcome
+        req.completion_time = self.now
+        self._interval_records.append(req)
         if self.log_requests:
             kind = "complete" if outcome == COMPLETED else "timeout"
-            self._log(completion, kind, req.service, req.replica_id if req.replica_id is not None else "",
-                      req.request_id, record.response_time)
+            self._log(self.now, kind, req.service, req.replica_id if req.replica_id is not None else "",
+                      req.request_id, req.response_time)
         for hook in self.resolve_hooks:
-            hook(record)
+            hook(req)
 
     # replica lifecycle --------------------------------------------------------
 
@@ -443,8 +426,7 @@ class ClusterSim:
 
     def _drain_pending(self, svc: _Service) -> None:
         while svc.pending:
-            req = self._requests[svc.pending.popleft()]
-            self._dispatch(svc, req)
+            self._dispatch(svc, svc.pending.popleft())
 
     def _begin_termination(self, svc: _Service, rep: ReplicaState) -> None:
         if rep.phase == TERMINATING:

@@ -132,7 +132,6 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 
 def plan(
     verdict: Verdict,
-    strategy: StrategyLevel,
     views: dict[str, ServiceView],
     cfg: MsRaConfig,
     now: float = 0.0,
@@ -251,7 +250,7 @@ class MsRaController:
             replace(s, target=target_for(strategy, s.compliance_threshold)) for s in statuses
         )
         verdict = analyze(statuses, self.cfg)
-        actions = tuple(plan(verdict, strategy, sim.views(), self.cfg, now, self.last_action))
+        actions = tuple(plan(verdict, sim.views(), self.cfg, now, self.last_action))
         outcomes = execute(actions, sim)
         for action, outcome in zip(actions, outcomes):
             if outcome == "applied":

@@ -47,8 +47,9 @@ class ControllerSpec:
     """What every controller profile has: a name and the SLO pair its violations count against.
 
     ``MsRaSpec`` and ``HpaSpec`` add their engine's fields, a ``kind``, the
-    ``control_interval`` the harness ticks at, and ``controller()``, which
-    builds the engine for one run.
+    ``control_interval`` the harness ticks at, ``engine_config()``, which
+    builds (and so validates) the engine's configuration, and ``controller()``,
+    which builds the engine for one run.
     """
 
     name: str
@@ -86,8 +87,8 @@ class MsRaSpec(ControllerSpec):
     def control_interval(self) -> float:
         return self.evaluation_interval
 
-    def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> MsRaController:
-        return MsRaController(MsRaConfig(
+    def engine_config(self, service: str, requirements: ScalingRequirements) -> MsRaConfig:
+        return MsRaConfig(
             slos=self.slo_specs(service),
             preferred_strategy=StrategyLevel(self.preferred_strategy),
             vertical_cpu_rate=self.vertical_cpu_rate,
@@ -95,7 +96,10 @@ class MsRaSpec(ControllerSpec):
             cooldown=self.cooldown,
             exceed_hysteresis=self.exceed_hysteresis,
             tight_budget_threshold=self.tight_budget_threshold,
-        ))
+        )
+
+    def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> MsRaController:
+        return MsRaController(self.engine_config(service, requirements))
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,17 @@ class HpaSpec(ControllerSpec):
     def control_interval(self) -> float:
         return self.sync_period
 
-    def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> HpaController:
-        return HpaController(HpaConfig(
+    def engine_config(self, service: str, requirements: ScalingRequirements) -> HpaConfig:
+        return HpaConfig(
             cpu_threshold=self.cpu_threshold,
             stabilization_window=self.stabilization_window,
             sync_period=self.sync_period,
             min_replicas=requirements.min_replicas,
             max_replicas=requirements.max_replicas,
-        ), service, store)
+        )
+
+    def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> HpaController:
+        return HpaController(self.engine_config(service, requirements), service, store)
 
 
 @dataclass(frozen=True)
@@ -143,12 +150,22 @@ class ExperimentConfig:
         names = [c.name for c in self.controllers]
         if len(set(names)) != len(names):
             raise ConfigurationError("controller profile names must be unique")
+        horizon = self.workload.total_duration
+        if abs(round(horizon / self.metrics_interval) * self.metrics_interval - horizon) > 1e-9:
+            raise ConfigurationError("workload duration must be a multiple of metrics_interval")
+        service = self.workload.target_service
+        requirements = next((sc.requirements for sc in self.services if sc.name == service), None)
+        if requirements is None:
+            raise ConfigurationError(f"workload targets unknown service {service!r}")
+        # Build every profile's engine configuration now, so a bad value fails
+        # at load time rather than when the run reaches that profile.
         for ctrl in self.controllers:
             ratio = ctrl.control_interval / self.metrics_interval
             if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
                 raise ConfigurationError(
                     f"{ctrl.name}: control interval must be a multiple of metrics_interval"
                 )
+            ctrl.engine_config(service, requirements)
 
 
 @dataclass
@@ -245,13 +262,9 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     ClosedLoopDriver(sim, cfg.workload, seed=cfg.seed + repetition)
     service = cfg.workload.target_service
     slos = ctrl.slo_specs(service)
-    requirements = next(sc.requirements for sc in cfg.services if sc.name == service)
-    controller = ctrl.controller(service, requirements, store)
+    controller = ctrl.controller(service, sim.service_view(service).requirements, store)
 
-    horizon = cfg.workload.total_duration
-    steps = round(horizon / cfg.metrics_interval)
-    if abs(steps * cfg.metrics_interval - horizon) > 1e-9:
-        raise ConfigurationError("workload duration must be a multiple of metrics_interval")
+    steps = round(cfg.workload.total_duration / cfg.metrics_interval)
     ctrl_every = round(ctrl.control_interval / cfg.metrics_interval)
 
     violations = {"SLO1": 0, "SLO2": 0}
@@ -363,7 +376,7 @@ class Summary:
             lines.append("resource reductions (SLO-driven profile vs baseline):")
             for ms, hpa, reps, cpu, mem in self.reductions:
                 lines.append(
-                    f"  {ms} vs {hpa}: replicas -{reps:.1f}%  cpu -{cpu:.1f}%  mem -{mem:.1f}%"
+                    f"  {ms} vs {hpa}: replicas {-reps:+.1f}%  cpu {-cpu:+.1f}%  mem {-mem:+.1f}%"
                 )
         return "\n".join(lines) + "\n"
 
@@ -467,7 +480,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             think_jitter=data["workload"].get("think_jitter", 0.0),
         )
         controllers = tuple(_spec_from_dict(c) for c in data["controllers"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad experiment configuration: {exc}") from exc
     return ExperimentConfig(
         services=services,

@@ -11,6 +11,7 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from statistics import fmean
 
 from .errors import ConfigurationError, SchemaViolation
@@ -19,8 +20,10 @@ DEFAULT_METRICS = ("response_time", "failure", "cpu_usage", "cpu_alloc")
 
 AGGREGATIONS = ("fraction_within_deadline", "fraction_true", "mean", "p95", "max")
 
+_timestamp = attrgetter("timestamp")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class MetricSample:
     timestamp: float
     service: str
@@ -116,9 +119,8 @@ class MetricStore:
         if window.metric not in self.known_metrics:
             raise ConfigurationError(f"unknown metric {window.metric!r}")
         series = self._sorted_series((service, window.metric))
-        times = [s.timestamp for s in series]
-        lo = bisect_right(times, now - window.window_length)
-        hi = bisect_right(times, now)
+        lo = bisect_right(series, now - window.window_length, key=_timestamp)
+        hi = bisect_right(series, now, lo, key=_timestamp)
         values = [s.value for s in series[lo:hi]]
         if not values:
             return None

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from msra.cluster import (
     ServerProfile,
 )
 from msra.errors import BoundViolation, ConfigurationError, ConfigurationWarning, InputError
+from msra.workload import ClosedLoopDriver, LoadProfile
 
 from util import fifo_completions, one_replica_sim, ready_trace
 
@@ -293,6 +295,26 @@ class TestRollingUpdate:
         assert all(r.cpu_alloc == 288.0 for r in sim.services["svc"].replicas.values())
         trace = ready_trace(sim.event_log, "svc")
         assert min(count for _, count in trace[2:]) >= 2
+
+
+def test_memory_stays_flat_as_the_horizon_grows():
+    # A resolved request lives only until its last event pops, so a steady
+    # closed loop holds as much after 2400 s as after 600 s.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim = ClusterSim(log_requests=False)
+        sim.add_service("svc", ServerProfile(nominal_service_time=0.5), ScalingRequirements())
+        ClosedLoopDriver(sim, LoadProfile(phases=((2400.0, 10),), target_service="svc", think_time=4.0))
+        held, resolved = {}, 0
+        for t in range(5, 2401, 5):
+            resolved += len(sim.advance(float(t)))
+            if t in (600, 2400):
+                held[t] = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert resolved > 4000
+    assert held[2400] <= held[600], held
 
 
 def test_stateful_with_horizontal_scaling_warns():

@@ -105,6 +105,55 @@ class TestRunSingle:
             "90.0,,,frontend,replicas->6,utilization=76.67%,",
         ] + [f"{t:.1f},,,frontend,none,utilization=53.33%," for t in range(105, 241, 15)]
 
+    def test_overload_run_is_pinned(self):
+        # Far past the capacity of two replicas: thousands of requests time out
+        # in service. MS-RA-A resizes while a replacement is starting, and the
+        # HPA scales in at 30 s while its 15 s scale-out is still starting.
+        base = small_config(phases=((15.0, 6), (15.0, 1), (210.0, 200)), controllers=(
+            MsRaSpec(name="MS-RA-A", slo1_threshold=95.0, slo2_threshold=0.5,
+                     preferred_strategy="conservative", vertical_cpu_rate=20.0,
+                     vertical_mem_rate=20.0),
+            HpaSpec(name="HPA-A", slo1_threshold=95.0, slo2_threshold=0.5, cpu_threshold=60.0,
+                    stabilization_window=15.0),
+        ))
+        service = base.services[0]
+        cfg = dataclasses.replace(
+            base,
+            services=(dataclasses.replace(
+                service,
+                profile=dataclasses.replace(service.profile, startup_duration=20.0),
+                requirements=dataclasses.replace(service.requirements, max_replicas=2),
+            ),),
+            workload=dataclasses.replace(base.workload, think_jitter=0.2),
+        )
+        msra, hpa = (run_single(cfg, ctrl, 0) for ctrl in cfg.controllers)
+        assert (msra.requests, msra.failures, msra.slo1_violations, msra.slo2_violations) == (4382, 1781, 14, 14)
+        assert (hpa.requests, hpa.failures, hpa.slo1_violations, hpa.slo2_violations) == (3926, 2772, 14, 14)
+        poor = "poor,conservative,frontend"
+        resized = [(75, "288", "184.32", -82.969), (105, "345.6", "221.184", -85.909),
+                   (135, "414.72", "265.421", -90.592), (165, "497.664", "318.505", -90.246),
+                   (195, "597.197", "382.206", -89.231), (225, "716.636", "458.647", -88.059)]
+        held = [(60, -78.661), (90, -86.078), (120, -86.440), (150, -91.072),
+                (180, -90.140), (210, -89.362), (240, -88.382)]
+        expected = {
+            15.0: "15.0,met,conservative,frontend,none,,0.500",
+            30.0: "30.0,met,conservative,frontend,none,,0.500",
+            45.0: f"45.0,{poor},replicas+1;cpu=240;mem=153.6,verdict poor: scale up,-66.575",
+        }
+        for t, cpu, mem, budget in resized:
+            expected[t] = (f"{t:.1f},{poor},cpu={cpu};mem={mem},"
+                           f"verdict poor: scale up; at max replicas,{budget:.3f}")
+        for t, budget in held:
+            expected[t] = f"{t:.1f},{poor},none,,{budget:.3f}"
+        assert [",".join(row) for row in msra.decisions] == [expected[t] for t in sorted(expected)]
+        assert [",".join(row) for row in hpa.decisions] == [
+            "15.0,,,frontend,replicas->2,utilization=100.00%,",
+            "30.0,,,frontend,replicas->1,utilization=21.67%,",
+            "45.0,,,frontend,replicas->2,utilization=100.00%,",
+            "60.0,,,frontend,none,utilization=100.00%,",
+            "75.0,,,frontend,none,utilization=82.63%,",
+        ] + [f"{t:.1f},,,frontend,none,utilization=100.00%," for t in range(90, 241, 15)]
+
     def test_idle_decision_rows_are_pinned(self):
         cfg = small_config(phases=((120.0, 0),))
         msra, hpa = (run_single(cfg, ctrl, 0).decisions for ctrl in cfg.controllers)
@@ -159,6 +208,12 @@ class TestSummarize:
         text = summary.to_text()
         assert "MS-RA-A vs HPA-A" in text and "-90.0%" in text
 
+    def test_growth_prints_a_plus_sign(self):
+        reports = [self.make_report("MS-RA-A", "msra", 4.0, 13066.0, 110.0),
+                   self.make_report("HPA-C", "hpa", 4.0, 1755.0, 0.0)]
+        text = summarize(reports).to_text()
+        assert "  MS-RA-A vs HPA-C: replicas -0.0%  cpu +644.5%  mem -0.0%\n" in text
+
 
 class TestExport:
     def test_round_trip(self, tmp_path):
@@ -197,6 +252,19 @@ class TestExport:
         assert lines == ["profile,avg_replicas,avg_cpu_millicpu,avg_mem_mb,slo1_violations,slo2_violations"]
 
 
+# Each is rejected when the configuration loads, before any profile runs:
+# (the keys leading to the value in config_to_dict's output, the bad value).
+BAD_VALUES = {
+    "phase duration not a number": (("workload", "phases", 0, 0), "x"),
+    "slo threshold of 100": (("controllers", 0, "slo1_threshold"), 100.0),
+    "negative cooldown": (("controllers", 0, "cooldown"), -5.0),
+    "negative vertical rate": (("controllers", 0, "vertical_cpu_rate"), -10.0),
+    "cpu threshold of 0": (("controllers", 1, "cpu_threshold"), 0.0),
+    "unknown target service": (("workload", "target_service"), "backend"),
+    "horizon not a multiple of metrics_interval": (("workload", "phases", 0, 0), 62.0),
+}
+
+
 class TestConfigSerialization:
     def test_json_round_trip(self):
         cfg = benchmark_preset()
@@ -224,6 +292,20 @@ class TestConfigSerialization:
     def test_missing_sections_rejected(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"services": []})
+
+    @pytest.mark.parametrize("case", BAD_VALUES)
+    def test_bad_value_rejected_at_load(self, case, tmp_path):
+        data = config_to_dict(small_config())
+        (*keys, last), value = BAD_VALUES[case]
+        parent = data
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        with pytest.raises(ConfigurationError):
+            config_from_dict(data)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli.main(["--config", str(cfg_path), "--dump-config"]) == 2
 
 
 class TestCli:

@@ -138,11 +138,11 @@ class TestSelectStrategy:
 class TestPlan:
     def test_met_plans_nothing(self):
         verdict = Verdict(MET, (status(90.0),))
-        assert plan(verdict, StrategyLevel.NORMAL, {"web": view()}, cfg()) == []
+        assert plan(verdict, {"web": view()}, cfg()) == []
 
     def test_poor_boosts_vertically_and_adds_replica(self):
         verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, StrategyLevel.CONSERVATIVE, {"web": view(cpu=200.0)}, cfg())
+        actions = plan(verdict, {"web": view(cpu=200.0)}, cfg())
         assert len(actions) == 1
         action = actions[0]
         assert action.horizontal_delta == 1
@@ -150,27 +150,27 @@ class TestPlan:
 
     def test_exceeded_releases_a_replica(self):
         verdict = Verdict(EXCEEDED, (status(99.5),))
-        actions = plan(verdict, StrategyLevel.NORMAL, {"web": view(active=3)}, cfg())
+        actions = plan(verdict, {"web": view(active=3)}, cfg())
         assert [a.horizontal_delta for a in actions] == [-1]
 
     def test_exceeded_at_min_replicas_trims_allocation(self):
         verdict = Verdict(EXCEEDED, (status(99.5),))
-        actions = plan(verdict, StrategyLevel.NORMAL, {"web": view(active=1, cpu=200.0)}, cfg())
+        actions = plan(verdict, {"web": view(active=1, cpu=200.0)}, cfg())
         assert actions[0].horizontal_delta == 0
         assert actions[0].new_cpu_per_replica == 160.0  # 200 * 0.8
 
     def test_exceeded_with_zero_rates_at_min_is_noop(self):
         verdict = Verdict(EXCEEDED, (status(99.5),))
-        actions = plan(verdict, StrategyLevel.BEST_EFFORT, {"web": view(active=1)},
+        actions = plan(verdict, {"web": view(active=1)},
                        cfg(vertical_cpu_rate=0.0, vertical_mem_rate=0.0))
         assert actions == []
 
     def test_cooldown_suppresses_actions(self):
         verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, StrategyLevel.CONSERVATIVE, {"web": view()}, cfg(cooldown=30.0),
+        actions = plan(verdict, {"web": view()}, cfg(cooldown=30.0),
                        now=10.0, last_action={"web": 0.0})
         assert actions == []
-        actions = plan(verdict, StrategyLevel.CONSERVATIVE, {"web": view()}, cfg(cooldown=30.0),
+        actions = plan(verdict, {"web": view()}, cfg(cooldown=30.0),
                        now=30.0, last_action={"web": 0.0})
         assert len(actions) == 1
 
@@ -178,7 +178,7 @@ class TestPlan:
         reqs = ScalingRequirements(min_replicas=1, max_replicas=10,
                                    min_cpu=100.0, max_cpu=220.0, min_mem=64.0, max_mem=4096.0)
         verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, StrategyLevel.CONSERVATIVE, {"web": view(cpu=200.0, reqs=reqs)}, cfg())
+        actions = plan(verdict, {"web": view(cpu=200.0, reqs=reqs)}, cfg())
         assert actions[0].new_cpu_per_replica == 220.0
         assert "clamped" in actions[0].reason
 
@@ -186,7 +186,7 @@ class TestPlan:
         reqs = ScalingRequirements(min_replicas=1, max_replicas=2,
                                    min_cpu=100.0, max_cpu=2000.0, min_mem=64.0, max_mem=4096.0)
         verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, StrategyLevel.CONSERVATIVE, {"web": view(active=2, reqs=reqs)}, cfg())
+        actions = plan(verdict, {"web": view(active=2, reqs=reqs)}, cfg())
         assert actions[0].horizontal_delta == 0
         assert actions[0].new_cpu_per_replica is not None
 
@@ -198,9 +198,8 @@ class TestPlan:
         views = {"web": view(active=rng.randint(1, 5))}
 
         def direction(statuses):
-            strategy = select_strategy(statuses, config)
             verdict = analyze(statuses, config)
-            actions = plan(verdict, strategy, views, config)
+            actions = plan(verdict, views, config)
             for a in actions:
                 if a.horizontal_delta > 0:
                     return 1
