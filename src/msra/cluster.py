@@ -13,7 +13,9 @@ completed within ``timeout`` seconds of arrival are removed and recorded as
 surge of one, so the ready count never dips during an allocation change.
 
 Ties between simultaneous events break on (time, event-kind rank, sequence),
-which makes every run bit-reproducible from its inputs.
+which makes every run bit-reproducible from its inputs. A request pushes its
+one terminal event, a completion or a timeout, when it starts service; one
+that first has to wait for a ready replica pushes its timeout then.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class RequestRecord:
         self.completion_time: float | None = None
         self.outcome: str | None = None
         self.replica_id: int | None = None
-        self.state = _PENDING
+        self.state: str | None = None  # None until first dispatched
 
     @property
     def response_time(self) -> float:
@@ -264,14 +266,19 @@ class ClusterSim:
             raise InputError(f"arrival at {time} is in the past (now={self.now})")
         rid = self._next_request_id
         self._next_request_id += 1
-        req = RequestRecord(rid, service, time)
-        self._push(time, ARRIVAL, req)
-        self._push(time + self.timeout, TIMEOUT, req)
+        self._push(time, ARRIVAL, RequestRecord(rid, service, time))
         return rid
 
     def _push(self, time: float, kind: int, payload) -> None:
         self._seq += 1
         heapq.heappush(self._events, (time, kind, self._seq, payload))
+
+    def _push_timeout(self, req: RequestRecord) -> None:
+        # Same-instant timeouts fire in request-id order, then push order: the
+        # order they would have if every request pushed its timeout on submit.
+        self._seq += 1
+        deadline = req.arrival_time + self.timeout
+        heapq.heappush(self._events, (deadline, TIMEOUT, (req.request_id, self._seq), req))
 
     def _new_replica_id(self) -> int:
         rid = self._next_replica_id
@@ -333,6 +340,8 @@ class ClusterSim:
             if best is None or rep.backlog < best.backlog:
                 best = rep
         if best is None:
+            if req.state is None:
+                self._push_timeout(req)
             req.state = _PENDING
             svc.pending.append(req)
             return
@@ -350,7 +359,15 @@ class ClusterSim:
         rep.in_flight = 1
         rep.busy_since = self.now
         s_eff = svc.profile.nominal_service_time * svc.profile.reference_cpu / rep.cpu_alloc
-        self._push(self.now + s_eff, COMPLETE, req)
+        # The one terminal event. A queued request needs none before it starts:
+        # replica queues are FIFO in arrival order (pending requests drain in
+        # arrival order before any later arrival is dispatched) and the timeout
+        # is one constant, so the request ahead resolves by its own deadline,
+        # no later than this one's, and this one starts by its deadline.
+        if self.now + s_eff <= req.arrival_time + self.timeout:
+            self._push(self.now + s_eff, COMPLETE, req)
+        else:
+            self._push_timeout(req)
         if self.log_requests:
             self._log(self.now, "start", svc.name, rep.replica_id, req.request_id, "")
 
@@ -370,14 +387,13 @@ class ClusterSim:
         svc = self.services[req.service]
         if state == _PENDING:
             svc.pending.remove(req)
-        elif state == _QUEUED:
-            svc.replicas[req.replica_id].queue.remove(req)  # its replica still serves: not removable
-        else:
-            rep = svc.replicas[req.replica_id]
-            self._finish_service(svc, rep)
+            self._resolve(req, FAILED_TIMEOUT)
+            return
+        # Never queued: a queued request starts by its deadline (_start_service).
+        rep = svc.replicas[req.replica_id]
+        self._finish_service(svc, rep)
         self._resolve(req, FAILED_TIMEOUT)
-        if state == _SERVING:
-            self._start_next(svc, rep)
+        self._start_next(svc, rep)
 
     def _finish_service(self, svc: _Service, rep: ReplicaState) -> None:
         svc.used_cpu_seconds += rep.cpu_alloc * (self.now - rep.busy_since)

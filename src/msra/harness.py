@@ -12,15 +12,18 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import ClassVar
 
-from .cluster import ClusterSim, ScalingRequirements, ServerProfile
+from .cluster import COMPLETED, ClusterSim, ScalingRequirements, ServerProfile
 from .controller_hpa import HpaConfig, HpaController
 from .controller_msra import MsRaConfig, MsRaController
 from .errors import ConfigurationError
-from .slo import FAILURE, LATENCY, SloSpec, StrategyLevel, build_status, measure
+# measure is not called here; simbench/tracing.py wraps it in this module's
+# namespace, so it stays bound until it stops doing so.
+from .slo import FAILURE, LATENCY, SloSpec, StrategyLevel, build_status, measure  # noqa: F401
 from .telemetry import MetricSample, MetricStore
 from .workload import ClosedLoopDriver, LoadProfile, benchmark_profile
 
@@ -160,11 +163,14 @@ class ExperimentConfig:
         # Build every profile's engine configuration now, so a bad value fails
         # at load time rather than when the run reaches that profile.
         for ctrl in self.controllers:
-            ratio = ctrl.control_interval / self.metrics_interval
-            if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-                raise ConfigurationError(
-                    f"{ctrl.name}: control interval must be a multiple of metrics_interval"
-                )
+            # run_single ticks and sums SLO counts in whole metrics intervals.
+            for what, length in (("control interval", ctrl.control_interval),
+                                 ("slo_window", ctrl.slo_window)):
+                ratio = length / self.metrics_interval
+                if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+                    raise ConfigurationError(
+                        f"{ctrl.name}: {what} must be a positive multiple of metrics_interval"
+                    )
             ctrl.engine_config(service, requirements)
 
 
@@ -261,7 +267,7 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     store = MetricStore()
     ClosedLoopDriver(sim, cfg.workload, seed=cfg.seed + repetition)
     service = cfg.workload.target_service
-    slos = ctrl.slo_specs(service)
+    slo1, slo2 = ctrl.slo_specs(service)
     controller = ctrl.controller(service, sim.service_view(service).requirements, store)
 
     steps = round(cfg.workload.total_duration / cfg.metrics_interval)
@@ -269,6 +275,11 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
 
     violations = {"SLO1": 0, "SLO2": 0}
     requests = failures = 0
+    # One (resolved, failed, within deadline) count per metrics interval.
+    # sim.advance(t) returns the requests resolved in (t - metrics_interval, t],
+    # the store's own half-open window unit, so the sum over the last slo_window
+    # gives the same integer ratios MetricStore.aggregate would.
+    counts: deque[tuple[int, int, int]] = deque(maxlen=round(ctrl.slo_window / cfg.metrics_interval))
     samples: list[tuple[float, int, float, float]] = []
     decisions: list[list] = []
 
@@ -288,12 +299,12 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     sample_usage(0.0, record_metrics=False)
     for step in range(1, steps + 1):
         t = step * cfg.metrics_interval
-        for rec in sim.advance(t):
-            requests += 1
-            failed = rec.outcome != "completed"
-            failures += failed
-            store.record(MetricSample(rec.completion_time, rec.service, "response_time", rec.response_time))
-            store.record(MetricSample(rec.completion_time, rec.service, "failure", 1.0 if failed else 0.0))
+        resolved = sim.advance(t)
+        failed = sum(1 for rec in resolved if rec.outcome != COMPLETED)
+        within = sum(1 for rec in resolved if rec.response_time <= slo1.deadline)
+        counts.append((len(resolved), failed, within))
+        requests += len(resolved)
+        failures += failed
         sample_usage(t, record_metrics=True)
         if step % ctrl_every != 0:
             continue
@@ -301,7 +312,11 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
         # controller-independent: one count per evaluation window whose
         # measured compliance sits below threshold. MS-RA acts on the same
         # statuses.
-        statuses = [build_status(slo, measure(store, slo, t), StrategyLevel.BEST_EFFORT) for slo in slos]
+        n, failed, within = map(sum, zip(*counts))  # over the last slo_window
+        statuses = [
+            build_status(slo1, within / n if n else None, StrategyLevel.BEST_EFFORT),
+            build_status(slo2, failed / n if n else None, StrategyLevel.BEST_EFFORT),
+        ]
         for status in statuses:
             if status.samples_present and status.violated:
                 violations[status.slo_id] += 1
@@ -333,7 +348,14 @@ def run_experiment(cfg: ExperimentConfig, profiles: list[str] | None = None) -> 
         selected = [c for c in cfg.controllers if c.name in profiles]
     reports = []
     for ctrl in selected:
-        reps = tuple(run_single(cfg, ctrl, rep) for rep in range(cfg.repetitions))
+        if cfg.workload.think_jitter == 0:
+            # Without jitter the driver never draws from its RNG, and nothing
+            # else in the model is random, so every repetition repeats
+            # repetition 0 exactly: run it once and relabel it for the rest.
+            first = run_single(cfg, ctrl, 0)
+            reps = tuple(replace(first, repetition=rep) for rep in range(cfg.repetitions))
+        else:
+            reps = tuple(run_single(cfg, ctrl, rep) for rep in range(cfg.repetitions))
         reports.append(RunReport(
             profile=ctrl.name,
             kind=ctrl.kind,

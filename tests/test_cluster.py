@@ -93,7 +93,15 @@ class TestTimeouts:
         assert records[0].outcome == "completed"
         assert records[0].completion_time == 10.0
 
-    def test_queued_request_times_out_and_frees_nothing(self):
+    @pytest.mark.parametrize("nominal, outcome", [(1.0, "completed"), (20.0, "failed_timeout")])
+    def test_served_request_pushes_two_events(self, nominal, outcome):
+        # Its arrival, then one terminal event: a completion, or a timeout mid-service.
+        sim = one_replica_sim(nominal=nominal, cpu_alloc=100.0, timeout=10.0)
+        records = sim.advance(30.0, arrivals=[(0.0, "svc")])
+        assert [r.outcome for r in records] == [outcome]
+        assert sim._seq == 2
+
+    def test_request_started_late_times_out_in_service(self):
         sim = one_replica_sim(nominal=8.0, cpu_alloc=100.0, timeout=10.0)
         records = sim.advance(40.0, arrivals=[(0.0, "svc"), (0.5, "svc")])
         by_id = {r.request_id: r for r in records}
@@ -116,6 +124,31 @@ class TestTimeouts:
         # the second arrival was still pending when the replica came up at 30
         assert by_id[1].outcome == "completed"
         assert by_id[1].start_service_time == 30.0
+
+    def test_pending_request_that_overruns_resolves_once(self):
+        # Pending from 0, so its timeout is pushed then; drained at 5 into an
+        # 8 s service that would end past its deadline at 10, which pushes a
+        # second timeout for the same instant.
+        sim = one_replica_sim(nominal=8.0, cpu_alloc=100.0, timeout=10.0)
+        replica = next(iter(sim.services["svc"].replicas.values()))
+        replica.phase = STARTING
+        sim._push(5.0, STARTUP, ("svc", replica.replica_id))
+        hooked = []
+        sim.resolve_hooks.append(hooked.append)
+        records = sim.advance(30.0, arrivals=[(0.0, "svc")])
+        assert hooked == records
+        assert [(r.outcome, r.start_service_time, r.completion_time) for r in records] == [
+            ("failed_timeout", 5.0, 10.0)]
+        assert replica.in_flight == 0 and replica.busy_since is None
+
+    def test_same_instant_timeouts_resolve_in_request_order(self):
+        # Replicas of unequal speed start the requests that overrun in another
+        # order than they arrived; their timeouts still fire in request order.
+        sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, timeout=3.0, replicas=2)
+        list(sim.services["svc"].replicas.values())[1].cpu_alloc = 130.0
+        records = sim.advance(20.0, arrivals=[(0.0, "svc")] * 12)
+        failed = [r.request_id for r in records if r.outcome == "failed_timeout"]
+        assert failed == [6, 7, 8, 9, 10, 11]
 
 
 class TestConservationAndDeterminism:

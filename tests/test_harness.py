@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
-from msra.cluster import ScalingRequirements, ServerProfile
+from msra.cluster import ClusterSim, ScalingRequirements, ServerProfile
+from msra.controller_hpa import HpaController
+from msra.controller_msra import MsRaController
 from msra.errors import ConfigurationError
-from msra import cli
+from msra import cli, harness
+from msra.slo import StrategyLevel, build_status, measure
+from msra.telemetry import MetricSample, MetricStore
 from msra.harness import (
     ExperimentConfig,
     HpaSpec,
@@ -182,6 +187,17 @@ class TestRunExperiment:
         a, b = report.reps
         assert (a.avg_replicas, a.avg_cpu, a.requests) == (b.avg_replicas, b.avg_cpu, b.requests)
 
+    @pytest.mark.parametrize("jitter, runs", [(0.0, 1), (0.2, 3)])
+    def test_repetitions_reuse_a_run_only_without_jitter(self, jitter, runs, monkeypatch):
+        base = small_config(repetitions=3)
+        cfg = dataclasses.replace(base, workload=dataclasses.replace(base.workload, think_jitter=jitter))
+        ctrl = cfg.controllers[0]
+        alone = tuple(run_single(cfg, ctrl, rep) for rep in range(3))
+        calls = []
+        monkeypatch.setattr(harness, "run_single", lambda *args: calls.append(args) or run_single(*args))
+        assert run_experiment(cfg, profiles=[ctrl.name])[0].reps == alone
+        assert len(calls) == runs
+
     def test_jitter_threads_the_seed_through_repetitions(self):
         base = small_config(repetitions=2)
         jittered = dataclasses.replace(
@@ -262,6 +278,8 @@ BAD_VALUES = {
     "cpu threshold of 0": (("controllers", 1, "cpu_threshold"), 0.0),
     "unknown target service": (("workload", "target_service"), "backend"),
     "horizon not a multiple of metrics_interval": (("workload", "phases", 0, 0), 62.0),
+    "slo window not a multiple of metrics_interval": (("controllers", 0, "slo_window"), 62.0),
+    "slo window shorter than metrics_interval": (("controllers", 1, "slo_window"), 2.5),
 }
 
 
@@ -341,3 +359,67 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["--config", str(tmp_path / "absent.json")]) == 2
+
+
+class TestSloCounts:
+    def test_statuses_equal_the_metric_store_measure(self, monkeypatch):
+        # Reference: every resolution recorded in a MetricStore from a resolve
+        # hook, and each SLO measured from it at every tick.
+        reference = {}
+
+        class ReferenceSim(ClusterSim):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                store = reference["store"] = MetricStore()
+
+                def record(rec):
+                    store.record(MetricSample(rec.completion_time, rec.service, "response_time",
+                                              rec.response_time))
+                    store.record(MetricSample(rec.completion_time, rec.service, "failure",
+                                              0.0 if rec.outcome == "completed" else 1.0))
+
+                self.resolve_hooks.append(record)
+
+        seen = {"ticks": 0, "empty": 0, "failed": 0}
+
+        def checking(controller_cls):
+            class Checking(controller_cls):
+                def tick(self, now, statuses, sim):
+                    store, slos = reference["store"], reference["slos"]
+                    assert statuses == [build_status(slo, measure(store, slo, now), StrategyLevel.BEST_EFFORT)
+                                        for slo in slos]
+                    seen["ticks"] += 1
+                    seen["empty"] += not statuses[0].samples_present
+                    seen["failed"] += statuses[1].samples_present and statuses[1].measured_compliance < 100.0
+                    return super().tick(now, statuses, sim)
+            return Checking
+
+        monkeypatch.setattr(harness, "ClusterSim", ReferenceSim)
+        monkeypatch.setattr(harness, "MsRaController", checking(MsRaController))
+        monkeypatch.setattr(harness, "HpaController", checking(HpaController))
+        rng = random.Random(21)
+        for _ in range(20):
+            interval = rng.choice([0.5, 2.5, 5.0])
+            phases = tuple((interval * rng.randint(4, 40), rng.choice([0, 2, 5, 10]))
+                           for _ in range(rng.randint(1, 3)))
+            common = dict(slo1_threshold=90.0, slo2_threshold=1.0,
+                          slo1_deadline=rng.choice([0.4, 1.0, 2.5, 20.0]),
+                          slo_window=interval * rng.randint(1, 8))
+            every = interval * rng.randint(1, 4)
+            ctrl = rng.choice([MsRaSpec("MS-RA", evaluation_interval=every, cooldown=0.0,
+                                        vertical_cpu_rate=20.0, **common),
+                               HpaSpec("HPA", sync_period=every, stabilization_window=every, **common)])
+            service = small_config().services[0]
+            service = dataclasses.replace(service, profile=dataclasses.replace(
+                service.profile, nominal_service_time=rng.choice([0.2, 0.5, 1.5]),
+                startup_duration=rng.choice([0.0, 1.0, 5.0])))
+            cfg = ExperimentConfig(
+                services=(service,),
+                workload=LoadProfile(phases=phases, think_jitter=rng.choice([0.0, 0.3])),
+                controllers=(ctrl,),
+                timeout=rng.choice([0.5, 2.0, 10.0]),
+                metrics_interval=interval,
+            )
+            reference["slos"] = ctrl.slo_specs(service.name)
+            run_single(cfg, ctrl, rng.randrange(100))
+        assert seen["ticks"] > 200 and seen["empty"] > 0 and seen["failed"] > 0
