@@ -28,7 +28,6 @@ from .controller_msra import (
 from .errors import (
     BoundViolation,
     ConfigurationError,
-    ConfigurationWarning,
     InputError,
     SchemaViolation,
 )

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import csv
 import heapq
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import BoundViolation, ConfigurationError, ConfigurationWarning, InputError
+from .errors import BoundViolation, ConfigurationError, InputError
 
 # Event-kind ranks for same-timestamp ordering. Timers fire first so phase
 # changes apply before traffic; completions precede timeouts so a request
@@ -60,7 +59,6 @@ class ServerProfile:
     startup_cpu_surge: float = 1.5
     memory_base: float = 100.0
     memory_per_inflight: float = 10.0
-    stateful: bool = False
 
     def __post_init__(self):
         if self.nominal_service_time <= 0:
@@ -104,6 +102,15 @@ class ScalingRequirements:
         ):
             if lo > hi:
                 raise ConfigurationError(f"min > max for {what} bounds")
+
+    def check_initial(self, replicas: int, cpu: float, mem: float) -> None:
+        """Raise ConfigurationError unless a starting replica count and allocation are within bounds."""
+        if not self.min_replicas <= replicas <= self.max_replicas:
+            raise ConfigurationError(f"initial replica count {replicas} outside bounds")
+        if not self.min_cpu <= cpu <= self.max_cpu:
+            raise ConfigurationError(f"initial cpu allocation {cpu} outside bounds")
+        if not self.min_mem <= mem <= self.max_mem:
+            raise ConfigurationError(f"initial mem allocation {mem} outside bounds")
 
 
 @dataclass
@@ -172,7 +179,7 @@ class _Service:
     __slots__ = (
         "name", "profile", "requirements", "replicas", "pending",
         "desired_count", "desired_cpu", "desired_mem",
-        "stale", "replacement", "used_cpu_seconds", "usage_mark",
+        "replacement", "used_cpu_seconds", "usage_mark",
     )
 
     def __init__(self, name, profile, requirements, desired_count, cpu, mem):
@@ -186,7 +193,6 @@ class _Service:
         self.desired_count = desired_count
         self.desired_cpu = cpu
         self.desired_mem = mem
-        self.stale: deque = deque()  # replica ids awaiting rolling replacement
         self.replacement: tuple[int, int] | None = None  # (new_id, old_id) in flight
         self.used_cpu_seconds = 0.0
         self.usage_mark = 0.0
@@ -195,12 +201,11 @@ class _Service:
 class ClusterSim:
     """Single-threaded event loop over one simulated cluster."""
 
-    def __init__(self, timeout: float = 10.0, log_requests: bool = True):
+    def __init__(self, timeout: float = 10.0):
         if timeout <= 0:
             raise ConfigurationError("timeout must be positive")
         self.now = 0.0
         self.timeout = timeout
-        self.log_requests = log_requests
         self.services: dict[str, _Service] = {}
         self.event_log: list[tuple] = []
         self.resolve_hooks: list = []
@@ -225,19 +230,7 @@ class ClusterSim:
             raise ConfigurationError(f"service {name!r} already defined")
         cpu = profile.reference_cpu if cpu_alloc is None else float(cpu_alloc)
         mem = requirements.min_mem if mem_alloc is None else float(mem_alloc)
-        if not requirements.min_replicas <= initial_replicas <= requirements.max_replicas:
-            raise ConfigurationError(f"initial replica count {initial_replicas} outside bounds")
-        if not requirements.min_cpu <= cpu <= requirements.max_cpu:
-            raise ConfigurationError(f"initial cpu allocation {cpu} outside bounds")
-        if not requirements.min_mem <= mem <= requirements.max_mem:
-            raise ConfigurationError(f"initial mem allocation {mem} outside bounds")
-        if profile.stateful and requirements.horizontal_enabled:
-            warnings.warn(
-                f"service {name!r} is stateful but allows horizontal scaling; "
-                "stateful services usually scale better vertically",
-                ConfigurationWarning,
-                stacklevel=2,
-            )
+        requirements.check_initial(initial_replicas, cpu, mem)
         svc = _Service(name, profile, requirements, initial_replicas, cpu, mem)
         self.services[name] = svc
         for _ in range(initial_replicas):
@@ -248,7 +241,7 @@ class ClusterSim:
                 mem_alloc=mem,
                 phase=READY,
             )
-            self._log(self.now, "replica_ready", name, rid, "", "initial")
+            self._log("replica_ready", name, rid, "initial")
 
     # ------------------------------------------------------------- scheduling
 
@@ -327,10 +320,7 @@ class ClusterSim:
     # request lifecycle -------------------------------------------------------
 
     def _on_arrival(self, req: RequestRecord) -> None:
-        svc = self.services[req.service]
-        if self.log_requests:
-            self._log(self.now, "arrival", svc.name, "", req.request_id, "")
-        self._dispatch(svc, req)
+        self._dispatch(self.services[req.service], req)
 
     def _dispatch(self, svc: _Service, req: RequestRecord) -> None:
         best = None
@@ -368,8 +358,6 @@ class ClusterSim:
             self._push(self.now + s_eff, COMPLETE, req)
         else:
             self._push_timeout(req)
-        if self.log_requests:
-            self._log(self.now, "start", svc.name, rep.replica_id, req.request_id, "")
 
     def _on_complete(self, req: RequestRecord) -> None:
         if req.state != _SERVING:
@@ -411,10 +399,6 @@ class ClusterSim:
         req.outcome = outcome
         req.completion_time = self.now
         self._interval_records.append(req)
-        if self.log_requests:
-            kind = "complete" if outcome == COMPLETED else "timeout"
-            self._log(self.now, kind, req.service, req.replica_id if req.replica_id is not None else "",
-                      req.request_id, req.response_time)
         for hook in self.resolve_hooks:
             hook(req)
 
@@ -430,7 +414,7 @@ class ClusterSim:
 
     def _make_ready(self, svc: _Service, rep: ReplicaState) -> None:
         rep.phase = READY
-        self._log(self.now, "replica_ready", svc.name, rep.replica_id, "", "")
+        self._log("replica_ready", svc.name, rep.replica_id, "")
         if svc.replacement and svc.replacement[0] == rep.replica_id:
             old_id = svc.replacement[1]
             svc.replacement = None
@@ -449,13 +433,13 @@ class ClusterSim:
             return
         prior = rep.phase
         rep.phase = TERMINATING
-        self._log(self.now, "replica_terminating", svc.name, rep.replica_id, "", f"was={prior}")
+        self._log("replica_terminating", svc.name, rep.replica_id, f"was={prior}")
         self._maybe_remove(svc, rep)
 
     def _maybe_remove(self, svc: _Service, rep: ReplicaState) -> None:
         if rep.phase == TERMINATING and rep.in_flight == 0 and not rep.queue:
             del svc.replicas[rep.replica_id]
-            self._log(self.now, "replica_removed", svc.name, rep.replica_id, "", "")
+            self._log("replica_removed", svc.name, rep.replica_id, "")
 
     def _spawn(self, svc: _Service, replaces: int | None = None) -> ReplicaState:
         rid = self._new_replica_id()
@@ -468,7 +452,7 @@ class ClusterSim:
         svc.replicas[rid] = rep
         if replaces is not None:
             svc.replacement = (rid, replaces)
-        self._log(self.now, "replica_created", svc.name, rid, "", f"cpu={svc.desired_cpu:g};mem={svc.desired_mem:g}")
+        self._log("replica_created", svc.name, rid, f"cpu={svc.desired_cpu:g};mem={svc.desired_mem:g}")
         if svc.profile.startup_duration == 0:
             self._make_ready(svc, rep)
         else:
@@ -477,13 +461,18 @@ class ClusterSim:
 
     def _advance_pipeline(self, svc: _Service) -> None:
         # At most one replacement in flight: surge of one, zero unavailability.
-        while svc.replacement is None and svc.stale:
-            old = svc.replicas.get(svc.stale.popleft())
-            if old is None or old.phase == TERMINATING:
-                continue
-            if (old.cpu_alloc, old.mem_alloc) == (svc.desired_cpu, svc.desired_mem):
-                continue
-            self._spawn(svc, replaces=old.replica_id)
+        # The next to replace is the lowest-id live replica whose allocation
+        # differs from the desired one. A replica never changes its allocation
+        # and every replica spawned since the last update has the desired one,
+        # so these are the replicas the last update found stale, minus those
+        # replaced or terminated since.
+        if svc.replacement is not None:
+            return
+        desired = (svc.desired_cpu, svc.desired_mem)
+        for old in svc.replicas.values():
+            if old.phase != TERMINATING and (old.cpu_alloc, old.mem_alloc) != desired:
+                self._spawn(svc, replaces=old.replica_id)
+                return
 
     # ------------------------------------------------------------- operations
 
@@ -514,8 +503,9 @@ class ClusterSim:
             raise BoundViolation(f"{service}: cpu {new_cpu} outside [{reqs.min_cpu}, {reqs.max_cpu}]")
         if not reqs.min_mem <= new_mem <= reqs.max_mem:
             raise BoundViolation(f"{service}: mem {new_mem} outside [{reqs.min_mem}, {reqs.max_mem}]")
-        active = [r for r in svc.replicas.values() if r.phase != TERMINATING]
-        if target_replicas != len(active) and not reqs.horizontal_enabled:
+        # desired_count, not the live replicas: a replacement's surge replica
+        # is no change of replica count.
+        if target_replicas != svc.desired_count and not reqs.horizontal_enabled:
             raise BoundViolation(f"{service}: horizontal scaling is disabled")
         if (new_cpu, new_mem) != (svc.desired_cpu, svc.desired_mem) and not reqs.vertical_enabled:
             raise BoundViolation(f"{service}: vertical scaling is disabled")
@@ -525,6 +515,7 @@ class ClusterSim:
         svc.desired_mem = new_mem
         svc.replacement = None  # superseding update recomputes the pipeline
 
+        active = [r for r in svc.replicas.values() if r.phase != TERMINATING]
         excess = len(active) - target_replicas
         if excess > 0:
             for rep in reversed(active[-excess:]):
@@ -532,11 +523,6 @@ class ClusterSim:
         elif excess < 0:
             for _ in range(-excess):
                 self._spawn(svc)
-        svc.stale = deque(
-            r.replica_id
-            for r in active
-            if r.phase != TERMINATING and (r.cpu_alloc, r.mem_alloc) != (new_cpu, new_mem)
-        )
         self._advance_pipeline(svc)
 
     def take_usage_sample(self) -> dict[str, UsageSample]:
@@ -583,14 +569,12 @@ class ClusterSim:
     def ready_count(self, name: str) -> int:
         return sum(1 for r in self.services[name].replicas.values() if r.phase == READY)
 
-    def _log(self, time, kind, service, replica_id, request_id, detail) -> None:
-        self.event_log.append((time, kind, service, replica_id, request_id, detail))
+    def _log(self, kind: str, service: str, replica_id: int, detail: str) -> None:
+        self.event_log.append((self.now, kind, service, replica_id, detail))
 
     def export_event_log(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["time", "event_kind", "service", "replica_id", "request_id", "detail"])
-            for time, kind, service, replica_id, request_id, detail in self.event_log:
-                if isinstance(detail, float):
-                    detail = f"{detail:.6f}"
-                writer.writerow([f"{time:.6f}", kind, service, replica_id, request_id, detail])
+            writer.writerow(["time", "event_kind", "service", "replica_id", "detail"])
+            for time, kind, service, replica_id, detail in self.event_log:
+                writer.writerow([f"{time:.6f}", kind, service, replica_id, detail])

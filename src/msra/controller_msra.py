@@ -33,8 +33,8 @@ POOR = "poor"
 class MsRaConfig:
     slos: tuple[SloSpec, ...]
     preferred_strategy: StrategyLevel = StrategyLevel.NORMAL
-    vertical_cpu_rate: float = 20.0  # percent added to (removed from) each replica's CPU
-    vertical_mem_rate: float = 20.0
+    vertical_cpu_rate: float = 0.0  # percent added to (removed from) each replica's CPU
+    vertical_mem_rate: float = 0.0
     cooldown: float = 30.0
     exceed_hysteresis: float = 2.0  # percentage points above target before "exceeded"
     tight_budget_threshold: float = 2.0  # budgets below this force conservative

@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class ConfigurationError(Exception):
@@ -15,7 +15,3 @@ class SchemaViolation(ValueError):
 
 class BoundViolation(ValueError):
     """A scaling target fell outside the configured requirements; nothing was applied."""
-
-
-class ConfigurationWarning(UserWarning):
-    """Non-fatal configuration smell, e.g. horizontal scaling on a stateful service."""

@@ -13,7 +13,7 @@ import csv
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from statistics import fmean
 from typing import ClassVar
 
@@ -43,6 +43,9 @@ class ServiceConfig:
     initial_replicas: int = 1
     initial_cpu: float = 500.0
     initial_mem: float = 256.0
+
+    def __post_init__(self):
+        self.requirements.check_initial(self.initial_replicas, self.initial_cpu, self.initial_mem)
 
 
 @dataclass(frozen=True)
@@ -148,6 +151,8 @@ class ExperimentConfig:
             raise ConfigurationError("at least one controller profile is required")
         if self.repetitions < 1:
             raise ConfigurationError("repetitions must be >= 1")
+        if self.timeout <= 0:
+            raise ConfigurationError("timeout must be positive")
         if self.metrics_interval <= 0:
             raise ConfigurationError("metrics_interval must be positive")
         names = [c.name for c in self.controllers]
@@ -219,7 +224,6 @@ def benchmark_preset(repetitions: int = 10, seed: int = 42) -> ExperimentConfig:
             startup_cpu_surge=1.5,
             memory_base=100.0,
             memory_per_inflight=10.0,
-            stateful=False,
         ),
         requirements=ScalingRequirements(
             horizontal_enabled=True,
@@ -259,7 +263,7 @@ def benchmark_preset(repetitions: int = 10, seed: int = 42) -> ExperimentConfig:
 
 def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> RepResult:
     """One fresh cluster + telemetry + controller over the full workload."""
-    sim = ClusterSim(timeout=cfg.timeout, log_requests=False)
+    sim = ClusterSim(timeout=cfg.timeout)
     for sc in cfg.services:
         sim.add_service(sc.name, sc.profile, sc.requirements,
                         initial_replicas=sc.initial_replicas,
@@ -456,72 +460,49 @@ def read_summary(path: str) -> list[dict]:
 # ------------------------------------------------------------ configuration
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "repetitions": cfg.repetitions,
-        "timeout": cfg.timeout,
-        "metrics_interval": cfg.metrics_interval,
-        "services": [
-            {
-                "name": sc.name,
-                "profile": vars(sc.profile).copy(),
-                "requirements": vars(sc.requirements).copy(),
-                "initial_replicas": sc.initial_replicas,
-                "initial_cpu": sc.initial_cpu,
-                "initial_mem": sc.initial_mem,
-            }
-            for sc in cfg.services
-        ],
-        "workload": {
-            "phases": [[d, u] for d, u in cfg.workload.phases],
-            "target_service": cfg.workload.target_service,
-            "think_time": cfg.workload.think_time,
-            "think_jitter": cfg.workload.think_jitter,
-        },
-        "controllers": [{"name": c.name, "kind": c.kind, **vars(c)} for c in cfg.controllers],
-    }
+    """JSON-ready data with one key per dataclass field; a controller profile
+    starts with ``name`` and ``kind``."""
+    return _to_data(cfg)
+
+
+def _to_data(value):
+    if isinstance(value, (tuple, list)):
+        return [_to_data(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    data = {"name": value.name, "kind": value.kind} if isinstance(value, ControllerSpec) else {}
+    data.update((f.name, _to_data(getattr(value, f.name))) for f in fields(value))
+    return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Build each level from its keys; the dataclasses supply every default,
+    and an unknown or misspelled key is rejected at any level."""
     try:
-        services = tuple(
-            ServiceConfig(
-                name=s["name"],
-                profile=ServerProfile(**s["profile"]),
-                requirements=ScalingRequirements(**s["requirements"]),
-                initial_replicas=s.get("initial_replicas", 1),
-                initial_cpu=s.get("initial_cpu", 500.0),
-                initial_mem=s.get("initial_mem", 256.0),
-            )
-            for s in data["services"]
-        )
-        workload = LoadProfile(
-            phases=tuple((float(d), int(u)) for d, u in data["workload"]["phases"]),
-            target_service=data["workload"].get("target_service", "frontend"),
-            think_time=data["workload"].get("think_time", 1.0),
-            think_jitter=data["workload"].get("think_jitter", 0.0),
-        )
-        controllers = tuple(_spec_from_dict(c) for c in data["controllers"])
+        workload = data["workload"]
+        return ExperimentConfig(**{
+            **data,
+            "services": tuple(
+                ServiceConfig(**{**s, "profile": ServerProfile(**s["profile"]),
+                                 "requirements": ScalingRequirements(**s["requirements"])})
+                for s in data["services"]
+            ),
+            "workload": LoadProfile(**{
+                **workload, "phases": tuple((float(d), int(u)) for d, u in workload["phases"]),
+            }),
+            "controllers": tuple(_spec_from_dict(c) for c in data["controllers"]),
+        })
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad experiment configuration: {exc}") from exc
-    return ExperimentConfig(
-        services=services,
-        workload=workload,
-        controllers=controllers,
-        repetitions=data.get("repetitions", 10),
-        seed=data.get("seed", 42),
-        timeout=data.get("timeout", 10.0),
-        metrics_interval=data.get("metrics_interval", 5.0),
-    )
 
 
 def _spec_from_dict(data: dict) -> ControllerSpec:
-    fields = dict(data)
-    kind = fields.pop("kind")
+    values = dict(data)
+    kind = values.pop("kind")
     spec = {MSRA: MsRaSpec, HPA: HpaSpec}.get(kind)
     if spec is None:
         raise ConfigurationError(f"unknown controller kind {kind!r}")
-    return spec(**fields)
+    return spec(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -16,7 +16,7 @@ from statistics import fmean
 
 from .errors import ConfigurationError, SchemaViolation
 
-DEFAULT_METRICS = ("response_time", "failure", "cpu_usage", "cpu_alloc")
+METRICS = ("response_time", "failure", "cpu_usage", "cpu_alloc")
 
 AGGREGATIONS = ("fraction_within_deadline", "fraction_true", "mean", "p95", "max")
 
@@ -54,17 +54,12 @@ class MetricWindow:
 class MetricStore:
     """Single-writer sample store; readers get consistent sorted views."""
 
-    def __init__(self, extra_metrics: tuple[str, ...] = ()):
+    def __init__(self):
         self._series: dict[tuple[str, str], list[MetricSample]] = {}
         self._unsorted: set[tuple[str, str]] = set()
-        self.known_metrics: set[str] = set(DEFAULT_METRICS) | set(extra_metrics)
-
-    def register_metric(self, name: str) -> None:
-        """Allow a custom metric name; pure configuration, no schema change."""
-        self.known_metrics.add(name)
 
     def record(self, sample: MetricSample) -> "MetricStore":
-        if sample.metric not in self.known_metrics:
+        if sample.metric not in METRICS:
             raise SchemaViolation(f"metric {sample.metric!r} is not registered")
         if math.isnan(sample.value) or math.isnan(sample.timestamp):
             raise SchemaViolation("NaN values are not recordable")
@@ -116,7 +111,7 @@ class MetricStore:
 
     def aggregate(self, service: str, window: MetricWindow, now: float) -> float | None:
         """Reduce the samples in (now - window_length, now]; None when the window is empty."""
-        if window.metric not in self.known_metrics:
+        if window.metric not in METRICS:
             raise ConfigurationError(f"unknown metric {window.metric!r}")
         series = self._sorted_series((service, window.metric))
         lo = bisect_right(series, now - window.window_length, key=_timestamp)

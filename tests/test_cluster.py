@@ -10,7 +10,7 @@ from msra.cluster import (
     ScalingRequirements,
     ServerProfile,
 )
-from msra.errors import BoundViolation, ConfigurationError, ConfigurationWarning, InputError
+from msra.errors import BoundViolation, ConfigurationError, InputError
 from msra.workload import ClosedLoopDriver, LoadProfile
 
 from util import fifo_completions, one_replica_sim, ready_trace
@@ -50,13 +50,10 @@ class TestServiceModel:
 
     def test_dispatch_prefers_smallest_backlog_then_lowest_id(self):
         sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, replicas=2)
-        sim.advance(0.5, arrivals=[(0.0, "svc"), (0.0, "svc"), (0.0, "svc")])
-        starts = [(row[3], row[4]) for row in sim.event_log if row[1] == "start"]
+        records = sim.advance(5.0, arrivals=[(0.0, "svc"), (0.0, "svc"), (0.0, "svc")])
+        served = sorted((r.request_id, r.replica_id, r.start_service_time) for r in records)
         # req0 -> replica 0, req1 -> replica 1, req2 ties and queues on replica 0
-        assert starts == [(0, 0), (1, 1)]
-        records = sim.advance(5.0)
-        third = next(r for r in records if r.request_id == 2)
-        assert third.start_service_time == 1.0
+        assert served == [(0, 0, 0.0), (1, 1, 0.0), (2, 0, 1.0)]
 
     def test_unknown_service_rejected(self):
         sim = one_replica_sim()
@@ -178,7 +175,8 @@ class TestConservationAndDeterminism:
             sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, replicas=2)
             sim.schedule_timer(3.0, lambda: sim.apply_rolling_update("svc", 3))
             records = sim.advance(50.0, arrivals=[(i * 0.4, "svc") for i in range(40)])
-            return sim.event_log, [(r.request_id, r.completion_time, r.outcome) for r in records]
+            return sim.event_log, [(r.request_id, r.replica_id, r.start_service_time,
+                                    r.completion_time, r.outcome) for r in records]
 
         log_a, rec_a = run()
         log_b, rec_b = run()
@@ -317,6 +315,28 @@ class TestRollingUpdate:
         with pytest.raises(BoundViolation):
             sim2.apply_rolling_update("svc", 2)
 
+    def test_vertical_only_resize_during_a_rollout_is_applied(self):
+        # The surge replica of the first resize is in flight when the second
+        # one arrives; it is no change of replica count.
+        vertical_only = ScalingRequirements(
+            horizontal_enabled=False, vertical_enabled=True,
+            min_replicas=1, max_replicas=5, min_cpu=50.0, max_cpu=2000.0,
+            min_mem=64.0, max_mem=4096.0,
+        )
+        sim = one_replica_sim(requirements=vertical_only, replicas=3, cpu_alloc=100.0, startup=20.0)
+        sim.apply_rolling_update("svc", 3, cpu=120.0)
+        sim.advance(1.0)
+        assert sim.service_view("svc").active == 4
+        sim.apply_rolling_update("svc", 3, cpu=144.0)
+        with pytest.raises(BoundViolation):
+            sim.apply_rolling_update("svc", 4, cpu=144.0)
+        with pytest.raises(BoundViolation):
+            sim.apply_rolling_update("svc", 2, cpu=144.0)
+        sim.advance(200.0)
+        view = sim.service_view("svc")
+        assert view.desired_replicas == 3 and view.ready == 3 and view.active == 3
+        assert [r.cpu_alloc for r in sim.services["svc"].replicas.values()] == [144.0] * 3
+
     def test_update_during_update_supersedes(self):
         sim = one_replica_sim(replicas=2, cpu_alloc=200.0, startup=5.0)
         sim.apply_rolling_update("svc", 2, cpu=240.0)
@@ -336,7 +356,7 @@ def test_memory_stays_flat_as_the_horizon_grows():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sim = ClusterSim(log_requests=False)
+        sim = ClusterSim()
         sim.add_service("svc", ServerProfile(nominal_service_time=0.5), ScalingRequirements())
         ClosedLoopDriver(sim, LoadProfile(phases=((2400.0, 10),), target_service="svc", think_time=4.0))
         held, resolved = {}, 0
@@ -350,24 +370,21 @@ def test_memory_stays_flat_as_the_horizon_grows():
     assert held[2400] <= held[600], held
 
 
-def test_stateful_with_horizontal_scaling_warns():
-    sim = ClusterSim()
-    profile = ServerProfile(stateful=True)
-    reqs = ScalingRequirements(min_replicas=1, max_replicas=3,
-                               min_cpu=50.0, max_cpu=2000.0, min_mem=64.0, max_mem=4096.0)
-    with pytest.warns(ConfigurationWarning):
-        sim.add_service("db", profile, reqs, cpu_alloc=100.0, mem_alloc=128.0)
-
-
 def test_event_log_export(tmp_path):
-    sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0)
-    sim.advance(5.0, arrivals=[(0.0, "svc")])
+    # One vertical rolling update of a single replica: surge, ready, drain.
+    sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, startup=5.0)
+    sim.apply_rolling_update("svc", 1, cpu=200.0)
+    sim.advance(10.0, arrivals=[(0.0, "svc")])
     path = tmp_path / "events.csv"
     sim.export_event_log(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,event_kind,service,replica_id,request_id,detail"
-    kinds = [line.split(",")[1] for line in lines[1:]]
-    assert kinds == ["replica_ready", "arrival", "start", "complete"]
+    assert path.read_text().splitlines() == [
+        "time,event_kind,service,replica_id,detail",
+        "0.000000,replica_ready,svc,0,initial",
+        "0.000000,replica_created,svc,1,cpu=200;mem=128",
+        "5.000000,replica_ready,svc,1,",
+        "5.000000,replica_terminating,svc,0,was=ready",
+        "5.000000,replica_removed,svc,0,",
+    ]
 
 
 def test_profile_and_requirement_validation():

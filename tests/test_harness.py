@@ -5,8 +5,8 @@ import random
 import pytest
 
 from msra.cluster import ClusterSim, ScalingRequirements, ServerProfile
-from msra.controller_hpa import HpaController
-from msra.controller_msra import MsRaController
+from msra.controller_hpa import HpaConfig, HpaController
+from msra.controller_msra import MsRaConfig, MsRaController
 from msra.errors import ConfigurationError
 from msra import cli, harness
 from msra.slo import StrategyLevel, build_status, measure
@@ -280,7 +280,49 @@ BAD_VALUES = {
     "horizon not a multiple of metrics_interval": (("workload", "phases", 0, 0), 62.0),
     "slo window not a multiple of metrics_interval": (("controllers", 0, "slo_window"), 62.0),
     "slo window shorter than metrics_interval": (("controllers", 1, "slo_window"), 2.5),
+    "timeout of 0": (("timeout",), 0.0),
+    "initial replicas above max_replicas": (("services", 0, "initial_replicas"), 11),
+    "initial cpu above max_cpu": (("services", 0, "initial_cpu"), 5000.0),
+    "initial mem below min_mem": (("services", 0, "initial_mem"), 32.0),
 }
+
+# `msra --paper --dump-config` as an earlier version wrote it, scalar top-level
+# keys first, minus the `stateful` flag that is no longer a setting.
+EARLIER_PRESET_DUMP = """{
+  "seed": 42, "repetitions": 10, "timeout": 10.0, "metrics_interval": 5.0,
+  "services": [{"name": "frontend",
+    "profile": {"nominal_service_time": 0.5, "reference_cpu": 100.0, "startup_duration": 5.0,
+                "startup_cpu_surge": 1.5, "memory_base": 100.0, "memory_per_inflight": 10.0},
+    "requirements": {"horizontal_enabled": true, "vertical_enabled": true,
+                     "min_replicas": 1, "max_replicas": 20, "min_cpu": 100.0, "max_cpu": 4000.0,
+                     "min_mem": 64.0, "max_mem": 4096.0},
+    "initial_replicas": 1, "initial_cpu": 500.0, "initial_mem": 256.0}],
+  "workload": {"phases": [[300.0, 10], [300.0, 20], [300.0, 30], [300.0, 10], [300.0, 30], [300.0, 20]],
+               "target_service": "frontend", "think_time": 1.0, "think_jitter": 0.0},
+  "controllers": [
+    {"name": "MS-RA-A", "kind": "msra", "slo1_threshold": 95.0, "slo2_threshold": 0.5,
+     "slo1_deadline": 2.5, "slo_window": 60.0, "preferred_strategy": "conservative",
+     "vertical_cpu_rate": 20.0, "vertical_mem_rate": 20.0, "evaluation_interval": 15.0,
+     "cooldown": 30.0, "exceed_hysteresis": 2.0, "tight_budget_threshold": 2.0},
+    {"name": "MS-RA-B", "kind": "msra", "slo1_threshold": 90.0, "slo2_threshold": 1.0,
+     "slo1_deadline": 2.5, "slo_window": 60.0, "preferred_strategy": "normal",
+     "vertical_cpu_rate": 10.0, "vertical_mem_rate": 10.0, "evaluation_interval": 15.0,
+     "cooldown": 30.0, "exceed_hysteresis": 2.0, "tight_budget_threshold": 2.0},
+    {"name": "MS-RA-C", "kind": "msra", "slo1_threshold": 85.0, "slo2_threshold": 2.0,
+     "slo1_deadline": 2.5, "slo_window": 60.0, "preferred_strategy": "best_effort",
+     "vertical_cpu_rate": 0.0, "vertical_mem_rate": 0.0, "evaluation_interval": 15.0,
+     "cooldown": 30.0, "exceed_hysteresis": 2.0, "tight_budget_threshold": 2.0},
+    {"name": "HPA-A", "kind": "hpa", "slo1_threshold": 95.0, "slo2_threshold": 0.5,
+     "slo1_deadline": 2.5, "slo_window": 60.0, "cpu_threshold": 60.0,
+     "stabilization_window": 90.0, "sync_period": 15.0},
+    {"name": "HPA-B", "kind": "hpa", "slo1_threshold": 90.0, "slo2_threshold": 1.0,
+     "slo1_deadline": 2.5, "slo_window": 60.0, "cpu_threshold": 70.0,
+     "stabilization_window": 90.0, "sync_period": 15.0},
+    {"name": "HPA-C", "kind": "hpa", "slo1_threshold": 85.0, "slo2_threshold": 2.0,
+     "slo1_deadline": 2.5, "slo_window": 60.0, "cpu_threshold": 80.0,
+     "stabilization_window": 45.0, "sync_period": 15.0}
+  ]
+}"""
 
 
 class TestConfigSerialization:
@@ -288,6 +330,35 @@ class TestConfigSerialization:
         cfg = benchmark_preset()
         data = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(data) == cfg
+
+    def test_earlier_preset_dump_loads_to_the_preset(self):
+        assert config_from_dict(json.loads(EARLIER_PRESET_DUMP)) == benchmark_preset()
+
+    @pytest.mark.parametrize("keys, misspelled", [
+        ((), "metrics_intervall"),
+        (("services", 0), "initial_replica"),
+        (("workload",), "think_tme"),
+        (("services", 0, "profile"), "stateful"),
+    ], ids=["top-level", "service", "workload", "profile"])
+    def test_unknown_key_rejected(self, keys, misspelled):
+        data = config_to_dict(small_config())
+        parent = data
+        for key in keys:
+            parent = parent[key]
+        parent[misspelled] = 1
+        with pytest.raises(ConfigurationError):
+            config_from_dict(data)
+
+    def test_spec_defaults_equal_engine_defaults(self):
+        # A field the engine requires (HpaConfig.cpu_threshold) has no default to disagree with.
+        for spec_cls, engine_cls in ((MsRaSpec, MsRaConfig), (HpaSpec, HpaConfig)):
+            spec_defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
+            shared = [f for f in dataclasses.fields(engine_cls)
+                      if f.name in spec_defaults and f.default is not dataclasses.MISSING]
+            assert len(shared) >= 2
+            for f in shared:
+                engine = f.default.value if isinstance(f.default, StrategyLevel) else f.default
+                assert spec_defaults[f.name] == engine, f"{engine_cls.__name__}.{f.name}"
 
     def test_bad_kind_rejected(self):
         data = config_to_dict(small_config())

@@ -116,13 +116,6 @@ class TestAggregate:
         with pytest.raises(ConfigurationError):
             store.aggregate("web", MetricWindow("bogus", 10.0, "mean"), 0.0)
 
-    def test_custom_metric_via_registration_only(self):
-        store = MetricStore()
-        store.register_metric("connection_time")
-        store.record(sample(1.0, 0.2, metric="connection_time"))
-        window = MetricWindow("connection_time", 10.0, "max")
-        assert store.aggregate("web", window, 5.0) == 0.2
-
     def test_p95_nearest_rank(self):
         store = MetricStore()
         for i in range(1, 101):

@@ -3,11 +3,7 @@ import pytest
 from msra.errors import ConfigurationError
 from msra.workload import ClosedLoopDriver, LoadProfile, benchmark_profile
 
-from util import one_replica_sim
-
-
-def arrivals_from_log(sim, service="svc"):
-    return [row[0] for row in sim.event_log if row[1] == "arrival" and row[2] == service]
+from util import one_replica_sim, record_arrivals
 
 
 class TestProfile:
@@ -32,17 +28,18 @@ class TestClosedLoop:
         # response 1s + think 1s -> one request every 2s over a 10s horizon
         sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0)
         profile = LoadProfile(phases=((10.0, 1),), target_service="svc", think_time=1.0)
+        arrivals = record_arrivals(sim)
         ClosedLoopDriver(sim, profile)
         sim.advance(10.0)
-        assert arrivals_from_log(sim) == [0.0, 2.0, 4.0, 6.0, 8.0]
+        assert arrivals == [0.0, 2.0, 4.0, 6.0, 8.0]
 
     def test_zero_users_no_arrivals(self):
         sim = one_replica_sim(nominal=0.2, cpu_alloc=100.0)
         profile = LoadProfile(phases=((5.0, 0), (5.0, 2), (5.0, 0)), target_service="svc",
                               think_time=1.0)
+        times = record_arrivals(sim)
         ClosedLoopDriver(sim, profile)
         sim.advance(15.0)
-        times = arrivals_from_log(sim)
         assert times, "the two-user phase must generate traffic"
         assert all(5.0 <= t < 10.0 for t in times)
 
@@ -50,25 +47,27 @@ class TestClosedLoop:
         # response 0.5s, no think: one request every 0.5s
         sim = one_replica_sim(nominal=0.5, cpu_alloc=100.0)
         profile = LoadProfile(phases=((5.0, 1),), target_service="svc", think_time=0.0)
+        arrivals = record_arrivals(sim)
         ClosedLoopDriver(sim, profile)
         sim.advance(5.0)
-        assert arrivals_from_log(sim) == [i * 0.5 for i in range(10)]
+        assert arrivals == [i * 0.5 for i in range(10)]
 
     def test_phase_boundary_adds_exactly_new_users(self):
         # 10 replicas keep the loop uncongested so old-user cycles stay off the boundary
         sim = one_replica_sim(nominal=0.3, cpu_alloc=100.0, replicas=10)
         profile = LoadProfile(phases=((5.0, 10), (5.0, 20)), target_service="svc", think_time=1.0)
+        arrivals = record_arrivals(sim)
         ClosedLoopDriver(sim, profile)
         sim.advance(10.0)
-        at_boundary = [t for t in arrivals_from_log(sim) if t == 5.0]
+        at_boundary = [t for t in arrivals if t == 5.0]
         assert len(at_boundary) == 10
 
     def test_surplus_users_retire_after_in_flight_resolves(self):
         sim = one_replica_sim(nominal=0.5, cpu_alloc=100.0, replicas=4)
         profile = LoadProfile(phases=((4.0, 4), (6.0, 1)), target_service="svc", think_time=1.0)
+        times = record_arrivals(sim)
         ClosedLoopDriver(sim, profile)
         sim.advance(10.0)
-        times = arrivals_from_log(sim)
         # after the transition settles only one user keeps cycling: spacing 1.5s
         tail = [t for t in times if t >= 6.0]
         assert len(tail) >= 2
@@ -77,9 +76,10 @@ class TestClosedLoop:
     def test_never_more_in_flight_than_users(self):
         sim = one_replica_sim(nominal=2.0, cpu_alloc=100.0)  # congested on purpose
         profile = LoadProfile(phases=((20.0, 3),), target_service="svc", think_time=0.5)
+        arrivals = record_arrivals(sim)
         ClosedLoopDriver(sim, profile)
         records = sim.advance(40.0)
-        events = [(t, 1) for t in arrivals_from_log(sim)]
+        events = [(t, 1) for t in arrivals]
         events += [(r.completion_time, -1) for r in records]
         events.sort()
         outstanding = peak = 0
@@ -93,9 +93,10 @@ class TestClosedLoop:
             sim = one_replica_sim(nominal=0.4, cpu_alloc=100.0)
             profile = LoadProfile(phases=((15.0, 3),), target_service="svc",
                                   think_time=1.0, think_jitter=0.2)
+            arrivals = record_arrivals(sim)
             ClosedLoopDriver(sim, profile, seed=seed)
             sim.advance(15.0)
-            return arrivals_from_log(sim)
+            return arrivals
 
         assert run(7) == run(7)
         assert run(7) != run(8)

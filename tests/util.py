@@ -1,4 +1,4 @@
-"""Shared test helpers: independent oracles and event-log analyzers.
+"""Shared test helpers: independent oracles, event-log analyzers and recorders.
 
 The oracles re-derive expected behavior from first principles (queueing
 recurrences, plain counting) without touching the simulator's event loop, so
@@ -23,7 +23,7 @@ def ready_trace(event_log, service):
     """(time, ready_count) steps reconstructed from replica lifecycle log rows."""
     count = 0
     trace = []
-    for time, kind, svc, _rid, _req, detail in event_log:
+    for time, kind, svc, _rid, detail in event_log:
         if svc != service:
             continue
         if kind == "replica_ready":
@@ -34,6 +34,19 @@ def ready_trace(event_log, service):
             continue
         trace.append((time, count))
     return trace
+
+
+def record_arrivals(sim):
+    """Wrap ``sim.submit``; the returned list gains each submitted request's arrival time."""
+    times = []
+    submit = sim.submit
+
+    def recording(time, service):
+        times.append(time)
+        return submit(time, service)
+
+    sim.submit = recording
+    return times
 
 
 def one_replica_sim(
