@@ -12,10 +12,10 @@ completed within ``timeout`` seconds of arrival are removed and recorded as
 ``failed_timeout``. Rolling updates replace replicas one at a time with a
 surge of one, so the ready count never dips during an allocation change.
 
+Every service always has a ready replica to dispatch to (see ``_dispatch``).
 Ties between simultaneous events break on (time, event-kind rank, sequence),
 which makes every run bit-reproducible from its inputs. A request pushes its
-one terminal event, a completion or a timeout, when it starts service; one
-that first has to wait for a ready replica pushes its timeout then.
+one terminal event, a completion or a timeout, when it starts service.
 """
 
 from __future__ import annotations
@@ -42,11 +42,6 @@ TERMINATING = "terminating"
 
 COMPLETED = "completed"
 FAILED_TIMEOUT = "failed_timeout"
-
-_PENDING = "pending"  # waiting at service level, no ready replica yet
-_QUEUED = "queued"
-_SERVING = "serving"
-_RESOLVED = "resolved"
 
 
 @dataclass(frozen=True)
@@ -89,6 +84,8 @@ class ScalingRequirements:
     def __post_init__(self):
         if not (self.horizontal_enabled or self.vertical_enabled):
             raise ConfigurationError("at least one scaling dimension must be enabled")
+        if type(self.min_replicas) is not int or type(self.max_replicas) is not int:
+            raise ConfigurationError("replica bounds must be integers")
         if self.min_replicas < 1:
             raise ConfigurationError("min_replicas must be >= 1")
         if self.min_cpu <= 0:
@@ -105,8 +102,8 @@ class ScalingRequirements:
 
     def check_initial(self, replicas: int, cpu: float, mem: float) -> None:
         """Raise ConfigurationError unless a starting replica count and allocation are within bounds."""
-        if not self.min_replicas <= replicas <= self.max_replicas:
-            raise ConfigurationError(f"initial replica count {replicas} outside bounds")
+        if type(replicas) is not int or not self.min_replicas <= replicas <= self.max_replicas:
+            raise ConfigurationError(f"initial replica count {replicas!r} is not an integer within bounds")
         if not self.min_cpu <= cpu <= self.max_cpu:
             raise ConfigurationError(f"initial cpu allocation {cpu} outside bounds")
         if not self.min_mem <= mem <= self.max_mem:
@@ -154,11 +151,10 @@ class ServiceView:
 
 class RequestRecord:
     """One request, carried by its events and queues; ``outcome`` and
-    ``completion_time`` are set when it resolves. Equality is identity, so
-    ``deque.remove`` finds this very request."""
+    ``completion_time`` are set when it resolves."""
 
     __slots__ = ("request_id", "service", "arrival_time", "start_service_time",
-                 "completion_time", "outcome", "replica_id", "state")
+                 "completion_time", "outcome", "replica_id")
 
     def __init__(self, request_id: int, service: str, arrival_time: float):
         self.request_id = request_id
@@ -168,7 +164,6 @@ class RequestRecord:
         self.completion_time: float | None = None
         self.outcome: str | None = None
         self.replica_id: int | None = None
-        self.state: str | None = None  # None until first dispatched
 
     @property
     def response_time(self) -> float:
@@ -177,7 +172,7 @@ class RequestRecord:
 
 class _Service:
     __slots__ = (
-        "name", "profile", "requirements", "replicas", "pending",
+        "name", "profile", "requirements", "replicas",
         "desired_count", "desired_cpu", "desired_mem",
         "replacement", "used_cpu_seconds", "usage_mark",
     )
@@ -189,7 +184,6 @@ class _Service:
         # Ids come from one increasing counter and dicts keep insertion order
         # through deletions, so iteration is in replica-id order.
         self.replicas: dict[int, ReplicaState] = {}
-        self.pending: deque = deque()
         self.desired_count = desired_count
         self.desired_cpu = cpu
         self.desired_mem = mem
@@ -305,11 +299,11 @@ class ClusterSim:
             time, kind, _seq, payload = heapq.heappop(events)
             self.now = time
             if kind == ARRIVAL:
-                self._on_arrival(payload)
+                self._dispatch(self.services[payload.service], payload)
             elif kind == COMPLETE:
-                self._on_complete(payload)
+                self._end_service(payload, COMPLETED)
             elif kind == TIMEOUT:
-                self._on_timeout(payload)
+                self._end_service(payload, FAILED_TIMEOUT)
             elif kind == STARTUP:
                 self._on_startup(payload)
             else:
@@ -319,88 +313,54 @@ class ClusterSim:
 
     # request lifecycle -------------------------------------------------------
 
-    def _on_arrival(self, req: RequestRecord) -> None:
-        self._dispatch(self.services[req.service], req)
-
     def _dispatch(self, svc: _Service, req: RequestRecord) -> None:
+        # A ready replica always exists. A service starts with min_replicas >= 1
+        # ready replicas. Start-up takes one constant time per service, so
+        # replicas become ready in id order: any ready replica has a lower id
+        # than every starting one. Scale-in keeps the lowest ids, and a
+        # replaced replica drains only after its successor is ready.
         best = None
         for rep in svc.replicas.values():
             if rep.phase != READY:
                 continue
             if best is None or rep.backlog < best.backlog:
                 best = rep
-        if best is None:
-            if req.state is None:
-                self._push_timeout(req)
-            req.state = _PENDING
-            svc.pending.append(req)
-            return
         if best.in_flight == 0:
             self._start_service(svc, best, req)
         else:
-            req.state = _QUEUED
-            req.replica_id = best.replica_id
             best.queue.append(req)
 
     def _start_service(self, svc: _Service, rep: ReplicaState, req: RequestRecord) -> None:
-        req.state = _SERVING
         req.replica_id = rep.replica_id
         req.start_service_time = self.now
         rep.in_flight = 1
         rep.busy_since = self.now
         s_eff = svc.profile.nominal_service_time * svc.profile.reference_cpu / rep.cpu_alloc
         # The one terminal event. A queued request needs none before it starts:
-        # replica queues are FIFO in arrival order (pending requests drain in
-        # arrival order before any later arrival is dispatched) and the timeout
-        # is one constant, so the request ahead resolves by its own deadline,
-        # no later than this one's, and this one starts by its deadline.
+        # replica queues are FIFO in arrival order and the timeout is one
+        # constant, so the request ahead resolves by its own deadline, no later
+        # than this one's, and this one starts by its deadline.
         if self.now + s_eff <= req.arrival_time + self.timeout:
             self._push(self.now + s_eff, COMPLETE, req)
         else:
             self._push_timeout(req)
 
-    def _on_complete(self, req: RequestRecord) -> None:
-        if req.state != _SERVING:
-            return  # aborted by timeout before this completion fired
+    def _end_service(self, req: RequestRecord, outcome: str) -> None:
+        # The request's one terminal event: it is in service on its replica.
         svc = self.services[req.service]
         rep = svc.replicas[req.replica_id]
-        self._finish_service(svc, rep)
-        self._resolve(req, COMPLETED)
-        self._start_next(svc, rep)
-
-    def _on_timeout(self, req: RequestRecord) -> None:
-        state = req.state
-        if state == _RESOLVED:
-            return
-        svc = self.services[req.service]
-        if state == _PENDING:
-            svc.pending.remove(req)
-            self._resolve(req, FAILED_TIMEOUT)
-            return
-        # Never queued: a queued request starts by its deadline (_start_service).
-        rep = svc.replicas[req.replica_id]
-        self._finish_service(svc, rep)
-        self._resolve(req, FAILED_TIMEOUT)
-        self._start_next(svc, rep)
-
-    def _finish_service(self, svc: _Service, rep: ReplicaState) -> None:
         svc.used_cpu_seconds += rep.cpu_alloc * (self.now - rep.busy_since)
         rep.busy_since = None
         rep.in_flight = 0
-
-    def _start_next(self, svc: _Service, rep: ReplicaState) -> None:
-        if rep.queue:
-            self._start_service(svc, rep, rep.queue.popleft())
-        else:
-            self._maybe_remove(svc, rep)
-
-    def _resolve(self, req: RequestRecord, outcome: str) -> None:
-        req.state = _RESOLVED
         req.outcome = outcome
         req.completion_time = self.now
         self._interval_records.append(req)
         for hook in self.resolve_hooks:
             hook(req)
+        if rep.queue:
+            self._start_service(svc, rep, rep.queue.popleft())
+        else:
+            self._maybe_remove(svc, rep)
 
     # replica lifecycle --------------------------------------------------------
 
@@ -408,29 +368,22 @@ class ClusterSim:
         name, rid = payload
         svc = self.services[name]
         rep = svc.replicas.get(rid)
-        if rep is None or rep.phase != STARTING:
-            return  # terminated while starting
+        if rep is None:
+            return  # terminated, and so removed, while starting
         self._make_ready(svc, rep)
 
     def _make_ready(self, svc: _Service, rep: ReplicaState) -> None:
         rep.phase = READY
         self._log("replica_ready", svc.name, rep.replica_id, "")
         if svc.replacement and svc.replacement[0] == rep.replica_id:
-            old_id = svc.replacement[1]
+            # Live and not terminating: only updates terminate replicas, and
+            # every update clears the replacement.
+            old = svc.replicas[svc.replacement[1]]
             svc.replacement = None
-            old = svc.replicas.get(old_id)
-            if old is not None and old.phase != TERMINATING:
-                self._begin_termination(svc, old)
+            self._begin_termination(svc, old)
             self._advance_pipeline(svc)
-        self._drain_pending(svc)
-
-    def _drain_pending(self, svc: _Service) -> None:
-        while svc.pending:
-            self._dispatch(svc, svc.pending.popleft())
 
     def _begin_termination(self, svc: _Service, rep: ReplicaState) -> None:
-        if rep.phase == TERMINATING:
-            return
         prior = rep.phase
         rep.phase = TERMINATING
         self._log("replica_terminating", svc.name, rep.replica_id, f"was={prior}")

@@ -95,8 +95,6 @@ class HpaController:
         utilization alone. It takes them so both controllers share one call.
         """
         view = sim.service_view(self.service)
-        if view.ready == 0:
-            return HpaDecision(now, None, None, None, False, "no ready replicas")
         util = self.utilization(now)
         if util is None:
             return HpaDecision(now, None, None, None, False, "no utilization samples")

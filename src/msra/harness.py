@@ -149,15 +149,16 @@ class ExperimentConfig:
             raise ConfigurationError("at least one service is required")
         if not self.controllers:
             raise ConfigurationError("at least one controller profile is required")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
+        if type(self.repetitions) is not int or self.repetitions < 1:
+            raise ConfigurationError(f"repetitions {self.repetitions!r} is not an integer >= 1")
         if self.timeout <= 0:
             raise ConfigurationError("timeout must be positive")
         if self.metrics_interval <= 0:
             raise ConfigurationError("metrics_interval must be positive")
-        names = [c.name for c in self.controllers]
-        if len(set(names)) != len(names):
-            raise ConfigurationError("controller profile names must be unique")
+        for what, names in (("service", [s.name for s in self.services]),
+                            ("controller profile", [c.name for c in self.controllers])):
+            if len(set(names)) != len(names):
+                raise ConfigurationError(f"{what} names must be unique")
         horizon = self.workload.total_duration
         if abs(round(horizon / self.metrics_interval) * self.metrics_interval - horizon) > 1e-9:
             raise ConfigurationError("workload duration must be a multiple of metrics_interval")
@@ -488,7 +489,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 for s in data["services"]
             ),
             "workload": LoadProfile(**{
-                **workload, "phases": tuple((float(d), int(u)) for d, u in workload["phases"]),
+                **workload, "phases": tuple((float(d), u) for d, u in workload["phases"]),
             }),
             "controllers": tuple(_spec_from_dict(c) for c in data["controllers"]),
         })

@@ -7,7 +7,6 @@ so a sample is counted by exactly one window boundary.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from .errors import ConfigurationError, SchemaViolation
 
 METRICS = ("response_time", "failure", "cpu_usage", "cpu_alloc")
 
-AGGREGATIONS = ("fraction_within_deadline", "fraction_true", "mean", "p95", "max")
+AGGREGATIONS = ("fraction_within_deadline", "fraction_true", "mean")
 
 _timestamp = attrgetter("timestamp")
 
@@ -123,17 +122,4 @@ class MetricStore:
             return sum(1 for v in values if v <= window.deadline) / len(values)
         if window.aggregation == "fraction_true":
             return sum(1 for v in values if v == 1) / len(values)
-        if window.aggregation == "mean":
-            return fmean(values)
-        if window.aggregation == "p95":
-            ordered = sorted(values)
-            rank = math.ceil(0.95 * len(ordered))  # nearest-rank percentile
-            return ordered[rank - 1]
-        return max(values)
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "service", "metric", "value"])
-            for s in self.samples():
-                writer.writerow([f"{s.timestamp:.6f}", s.service, s.metric, f"{s.value:.6f}"])
+        return fmean(values)

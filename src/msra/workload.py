@@ -28,8 +28,8 @@ class LoadProfile:
         for duration, users in self.phases:
             if duration <= 0:
                 raise ConfigurationError("phase durations must be positive")
-            if users < 0:
-                raise ConfigurationError("user counts must be non-negative")
+            if type(users) is not int or users < 0:
+                raise ConfigurationError(f"user count {users!r} is not a non-negative integer")
         if self.think_time < 0:
             raise ConfigurationError("think_time must be non-negative")
         if not 0.0 <= self.think_jitter < 1.0:

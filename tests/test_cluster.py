@@ -3,13 +3,7 @@ import tracemalloc
 
 import pytest
 
-from msra.cluster import (
-    STARTING,
-    STARTUP,
-    ClusterSim,
-    ScalingRequirements,
-    ServerProfile,
-)
+from msra.cluster import ClusterSim, ScalingRequirements, ServerProfile
 from msra.errors import BoundViolation, ConfigurationError, InputError
 from msra.workload import ClosedLoopDriver, LoadProfile
 
@@ -106,37 +100,6 @@ class TestTimeouts:
         # second request starts at 8.0 but cannot finish by 10.5
         assert by_id[1].outcome == "failed_timeout"
         assert by_id[1].completion_time == 10.5
-
-    def test_pending_request_without_ready_replica_times_out(self):
-        # Synthetic: force the only replica back into startup to expose the
-        # service-level pending queue.
-        sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, timeout=10.0)
-        svc = sim.services["svc"]
-        replica = next(iter(svc.replicas.values()))
-        replica.phase = STARTING
-        sim._push(30.0, STARTUP, ("svc", replica.replica_id))
-        records = sim.advance(60.0, arrivals=[(0.0, "svc"), (25.0, "svc")])
-        by_id = {r.request_id: r for r in records}
-        assert by_id[0].outcome == "failed_timeout" and by_id[0].completion_time == 10.0
-        # the second arrival was still pending when the replica came up at 30
-        assert by_id[1].outcome == "completed"
-        assert by_id[1].start_service_time == 30.0
-
-    def test_pending_request_that_overruns_resolves_once(self):
-        # Pending from 0, so its timeout is pushed then; drained at 5 into an
-        # 8 s service that would end past its deadline at 10, which pushes a
-        # second timeout for the same instant.
-        sim = one_replica_sim(nominal=8.0, cpu_alloc=100.0, timeout=10.0)
-        replica = next(iter(sim.services["svc"].replicas.values()))
-        replica.phase = STARTING
-        sim._push(5.0, STARTUP, ("svc", replica.replica_id))
-        hooked = []
-        sim.resolve_hooks.append(hooked.append)
-        records = sim.advance(30.0, arrivals=[(0.0, "svc")])
-        assert hooked == records
-        assert [(r.outcome, r.start_service_time, r.completion_time) for r in records] == [
-            ("failed_timeout", 5.0, 10.0)]
-        assert replica.in_flight == 0 and replica.busy_since is None
 
     def test_same_instant_timeouts_resolve_in_request_order(self):
         # Replicas of unequal speed start the requests that overrun in another

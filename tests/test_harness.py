@@ -284,6 +284,15 @@ BAD_VALUES = {
     "initial replicas above max_replicas": (("services", 0, "initial_replicas"), 11),
     "initial cpu above max_cpu": (("services", 0, "initial_cpu"), 5000.0),
     "initial mem below min_mem": (("services", 0, "initial_mem"), 32.0),
+    "service listed twice": (("services",), config_to_dict(small_config())["services"] * 2),
+    "fractional user count": (("workload", "phases", 0, 1), 2.5),
+    "boolean user count": (("workload", "phases", 0, 1), True),
+    "fractional initial replicas": (("services", 0, "initial_replicas"), 1.5),
+    "boolean initial replicas": (("services", 0, "initial_replicas"), True),
+    "float min_replicas": (("services", 0, "requirements", "min_replicas"), 1.0),
+    "fractional max_replicas": (("services", 0, "requirements", "max_replicas"), 2.5),
+    "fractional repetitions": (("repetitions",), 1.5),
+    "boolean repetitions": (("repetitions",), True),
 }
 
 # `msra --paper --dump-config` as an earlier version wrote it, scalar top-level

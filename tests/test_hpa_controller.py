@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from msra.cluster import STARTING
 from msra.controller_hpa import HpaConfig, HpaController, desired_replicas, stabilized_desired
 from msra.errors import ConfigurationError, InputError
 from msra.telemetry import MetricSample, MetricStore
@@ -106,13 +105,6 @@ class TestTick:
         decision = controller.tick(15.0, (), sim)
         assert not decision.applied
         assert decision.note == "no utilization samples"
-
-    def test_no_ready_replicas_is_noop_with_note(self):
-        sim, controller, store = self.make(replicas=1)
-        next(iter(sim.services["svc"].replicas.values())).phase = STARTING  # synthetic
-        decision = controller.tick(15.0, (), sim)
-        assert not decision.applied
-        assert decision.note == "no ready replicas"
 
     def test_output_stays_within_bounds(self):
         cfg = HpaConfig(cpu_threshold=60.0, stabilization_window=40.0, sync_period=15.0,

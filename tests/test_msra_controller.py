@@ -247,6 +247,7 @@ class TestExecute:
 
     def test_replica_count_follows_clamped_deltas_during_rollouts(self):
         rng = random.Random(31)
+        traffic = random.Random(32)  # its own stream, so the rollout schedules stay put
         for _ in range(300):
             lo = rng.randint(1, 3)
             hi = rng.randint(lo, lo + 4)
@@ -255,6 +256,9 @@ class TestExecute:
             expected = rng.randint(lo, hi)
             sim = one_replica_sim(replicas=expected, startup=5.0, requirements=reqs)
             replicas = sim.services["svc"].replicas
+            resolved = []
+            sim.resolve_hooks.append(lambda req: resolved.append(req.request_id))
+            submitted = 0
             for _ in range(rng.randint(1, 10)):
                 delta = rng.choice((-1, 0, 1))
                 cpu = rng.choice((None, 100.0, 150.0, 200.0))
@@ -262,11 +266,16 @@ class TestExecute:
                 execute([ScalingAction("svc", delta, cpu, mem)], sim)
                 expected = max(lo, min(hi, expected + delta))
                 assert list(replicas) == sorted(replicas)
-                sim.advance(sim.now + rng.uniform(0.5, 4.5))  # shorter than startup: surges overlap
+                until = sim.now + rng.uniform(0.5, 4.5)  # shorter than startup: surges overlap
+                times = sorted(traffic.uniform(sim.now, until) for _ in range(traffic.randint(0, 12)))
+                sim.advance(until, arrivals=[(t, "svc") for t in times])
+                submitted += len(times)
                 assert list(replicas) == sorted(replicas)
+                assert sim.service_view("svc").ready >= 1  # the ready-replica floor
             sim.advance(sim.now + 100.0)
             final = sim.service_view("svc")
             assert (final.ready, final.active, final.desired_replicas) == (expected,) * 3
+            assert sorted(resolved) == list(range(submitted))  # each request resolves once
 
     def test_vertical_action_rolls_with_zero_downtime(self):
         sim = one_replica_sim(cpu_alloc=200.0)
