@@ -13,9 +13,10 @@ completed within ``timeout`` seconds of arrival are removed and recorded as
 surge of one, so the ready count never dips during an allocation change.
 
 Every service always has a ready replica to dispatch to (see ``_dispatch``).
-Ties between simultaneous events break on (time, event-kind rank, sequence),
-which makes every run bit-reproducible from its inputs. A request pushes its
-one terminal event, a completion or a timeout, when it starts service.
+Events fire in (time, event-kind rank, sequence) order, so every run is
+bit-reproducible. A request pushes one terminal event when it starts service.
+An arrival at the current instant skips the heap for a FIFO lane, drained once
+that instant's heap events have fired: arrivals rank last, earlier ones by seq.
 """
 
 from __future__ import annotations
@@ -120,10 +121,6 @@ class ReplicaState:
     queue: deque = field(default_factory=deque)
     busy_since: float | None = None
 
-    @property
-    def backlog(self) -> int:
-        return self.in_flight + len(self.queue)
-
 
 @dataclass(frozen=True)
 class UsageSample:
@@ -204,6 +201,7 @@ class ClusterSim:
         self.event_log: list[tuple] = []
         self.resolve_hooks: list = []
         self._events: list[tuple] = []
+        self._lane: deque[RequestRecord] = deque()  # arrivals at self.now, not yet dispatched
         self._seq = 0
         self._next_replica_id = 0
         self._next_request_id = 0
@@ -228,7 +226,8 @@ class ClusterSim:
         svc = _Service(name, profile, requirements, initial_replicas, cpu, mem)
         self.services[name] = svc
         for _ in range(initial_replicas):
-            rid = self._new_replica_id()
+            rid = self._next_replica_id
+            self._next_replica_id += 1
             svc.replicas[rid] = ReplicaState(
                 replica_id=rid,
                 cpu_alloc=cpu,
@@ -246,14 +245,17 @@ class ClusterSim:
         self._push(time, TIMER, callback)
 
     def submit(self, time: float, service: str) -> int:
-        """Schedule one request arrival; returns its request id."""
+        """Schedule one request arrival; returns its request id. One at ``now`` skips the heap."""
         if service not in self.services:
             raise ConfigurationError(f"arrival references unknown service {service!r}")
         if time < self.now:
             raise InputError(f"arrival at {time} is in the past (now={self.now})")
         rid = self._next_request_id
         self._next_request_id += 1
-        self._push(time, ARRIVAL, RequestRecord(rid, service, time))
+        if time == self.now:
+            self._lane.append(RequestRecord(rid, service, time))
+        else:
+            self._push(time, ARRIVAL, RequestRecord(rid, service, time))
         return rid
 
     def _push(self, time: float, kind: int, payload) -> None:
@@ -266,11 +268,6 @@ class ClusterSim:
         self._seq += 1
         deadline = req.arrival_time + self.timeout
         heapq.heappush(self._events, (deadline, TIMEOUT, (req.request_id, self._seq), req))
-
-    def _new_replica_id(self) -> int:
-        rid = self._next_replica_id
-        self._next_replica_id += 1
-        return rid
 
     # ------------------------------------------------------------- event loop
 
@@ -288,18 +285,30 @@ class ClusterSim:
             if service not in self.services:
                 raise ConfigurationError(f"arrival references unknown service {service!r}")
             if time < self.now or time > until:
-                raise InputError(f"arrival at {time} outside ({self.now}, {until}]")
+                raise InputError(f"arrival at {time} outside [{self.now}, {until}]")
             last = time
         for time, service in arrivals:
             self.submit(time, service)
 
         self._interval_records = []
-        events = self._events
-        while events and events[0][0] <= until:
+        events, lane, services = self._events, self._lane, self.services
+        while True:
+            # The lane waits until no heap event is left at this instant, and
+            # empties before the clock moves. That is the (time, kind, seq)
+            # order: every kind but ARRIVAL ranks first, and a heap ARRIVAL for
+            # now was pushed before the clock got here, so with a lower seq than
+            # any lane entry. Lane entries take no seq; gaps change no tie order.
+            if lane:
+                if not events or events[0][0] > self.now:
+                    req = lane.popleft()
+                    self._dispatch(services[req.service], req)
+                    continue
+            elif not events or events[0][0] > until:
+                break
             time, kind, _seq, payload = heapq.heappop(events)
             self.now = time
             if kind == ARRIVAL:
-                self._dispatch(self.services[payload.service], payload)
+                self._dispatch(services[payload.service], payload)
             elif kind == COMPLETE:
                 self._end_service(payload, COMPLETED)
             elif kind == TIMEOUT:
@@ -323,8 +332,9 @@ class ClusterSim:
         for rep in svc.replicas.values():
             if rep.phase != READY:
                 continue
-            if best is None or rep.backlog < best.backlog:
-                best = rep
+            backlog = rep.in_flight + len(rep.queue)
+            if best is None or backlog < best_backlog:
+                best, best_backlog = rep, backlog
         if best.in_flight == 0:
             self._start_service(svc, best, req)
         else:
@@ -395,7 +405,8 @@ class ClusterSim:
             self._log("replica_removed", svc.name, rep.replica_id, "")
 
     def _spawn(self, svc: _Service, replaces: int | None = None) -> ReplicaState:
-        rid = self._new_replica_id()
+        rid = self._next_replica_id
+        self._next_replica_id += 1
         rep = ReplicaState(
             replica_id=rid,
             cpu_alloc=svc.desired_cpu,

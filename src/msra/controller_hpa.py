@@ -28,8 +28,10 @@ class HpaConfig:
     tolerance: float = 0.10  # relative band around the threshold
 
     def __post_init__(self):
-        if not 0 < self.cpu_threshold <= 100:
-            raise ConfigurationError("cpu_threshold must be in (0, 100]")
+        ceiling = 100 / (1 + self.tolerance)  # scaling up needs utilization above threshold * (1 + tolerance)
+        if not 0 < self.cpu_threshold < ceiling:
+            raise ConfigurationError(f"cpu_threshold must be in (0, 100 / (1 + tolerance)) = (0, {ceiling:.4g}), "
+                                     "or the HPA scales up only above 100% utilization")
         if self.stabilization_window <= 0 or self.sync_period <= 0:
             raise ConfigurationError("windows must be positive")
         if self.min_replicas < 1 or self.min_replicas > self.max_replicas:

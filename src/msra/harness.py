@@ -305,8 +305,10 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     for step in range(1, steps + 1):
         t = step * cfg.metrics_interval
         resolved = sim.advance(t)
-        failed = sum(1 for rec in resolved if rec.outcome != COMPLETED)
-        within = sum(1 for rec in resolved if rec.response_time <= slo1.deadline)
+        failed = within = 0
+        for rec in resolved:
+            failed += rec.outcome != COMPLETED
+            within += rec.response_time <= slo1.deadline
         counts.append((len(resolved), failed, within))
         requests += len(resolved)
         failures += failed

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .cluster import ClusterSim, RequestRecord
 from .errors import ConfigurationError
@@ -70,6 +71,7 @@ class ClosedLoopDriver:
         self.active_users = 0
         self._user_state = [_IDLE] * profile.max_users
         self._req_user: dict[int, int] = {}
+        self._think_callbacks = [partial(self._think_over, idx) for idx in range(profile.max_users)]
         sim.resolve_hooks.append(self._on_resolve)
         boundary = sim.now
         for duration, users in profile.phases:
@@ -101,12 +103,10 @@ class ClosedLoopDriver:
         think = self.profile.think_time
         if self.profile.think_jitter and think > 0:
             think *= 1.0 + self.profile.think_jitter * (2.0 * self.rng.random() - 1.0)
-        self.sim.schedule_timer(self.sim.now + think, self._think_done(idx))
+        self.sim.schedule_timer(self.sim.now + think, self._think_callbacks[idx])
 
-    def _think_done(self, idx: int):
-        def fire():
-            if idx < self.active_users and self.sim.now < self._end:
-                self._issue(idx)
-            else:
-                self._user_state[idx] = _IDLE
-        return fire
+    def _think_over(self, idx: int) -> None:
+        if idx < self.active_users and self.sim.now < self._end:
+            self._issue(idx)
+        else:
+            self._user_state[idx] = _IDLE

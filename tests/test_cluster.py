@@ -59,6 +59,15 @@ class TestServiceModel:
         with pytest.raises(InputError):
             sim.advance(1.0, arrivals=[(0.5, "svc"), (0.2, "svc")])
 
+    @pytest.mark.parametrize("time", [4.0, 6.5])
+    def test_arrival_outside_the_closed_interval_rejected(self, time):
+        sim = one_replica_sim()
+        sim.advance(5.0)
+        with pytest.raises(InputError, match=r"outside \[5\.0, 6\.0\]"):
+            sim.advance(6.0, arrivals=[(time, "svc")])
+        # Both ends are inside: an arrival at the current instant is accepted.
+        assert len(sim.advance(6.0, arrivals=[(5.0, "svc"), (6.0, "svc")])) == 1
+
     def test_cannot_advance_backwards(self):
         sim = one_replica_sim()
         sim.advance(5.0)
@@ -85,12 +94,15 @@ class TestTimeouts:
         assert records[0].completion_time == 10.0
 
     @pytest.mark.parametrize("nominal, outcome", [(1.0, "completed"), (20.0, "failed_timeout")])
-    def test_served_request_pushes_two_events(self, nominal, outcome):
-        # Its arrival, then one terminal event: a completion, or a timeout mid-service.
+    def test_served_request_pushes_one_heap_event(self, nominal, outcome):
+        # Its arrival at the current instant skips the heap; its one terminal
+        # event, a completion or a timeout mid-service, is the only push.
         sim = one_replica_sim(nominal=nominal, cpu_alloc=100.0, timeout=10.0)
-        records = sim.advance(30.0, arrivals=[(0.0, "svc")])
+        sim.submit(0.0, "svc")
+        assert sim._events == []
+        records = sim.advance(30.0)
         assert [r.outcome for r in records] == [outcome]
-        assert sim._seq == 2
+        assert sim._seq == 1
 
     def test_request_started_late_times_out_in_service(self):
         sim = one_replica_sim(nominal=8.0, cpu_alloc=100.0, timeout=10.0)
@@ -109,6 +121,44 @@ class TestTimeouts:
         records = sim.advance(20.0, arrivals=[(0.0, "svc")] * 12)
         failed = [r.request_id for r in records if r.outcome == "failed_timeout"]
         assert failed == [6, 7, 8, 9, 10, 11]
+
+
+class TestSameInstantOrder:
+    """An arrival submitted at the current instant waits in the lane until no
+    heap event is left at that instant, as it would under (time, kind, seq)."""
+
+    @staticmethod
+    def two_busy_replicas():
+        # Replica 0 serves request 0 until 1.0; the faster replica 1 serves
+        # request 1 until 0.5. A timer at 0.5 submits request 2 at that instant.
+        sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, replicas=2)
+        sim.services["svc"].replicas[1].cpu_alloc = 200.0
+        sim.schedule_timer(0.5, lambda: sim.submit(sim.now, "svc"))
+        return sim
+
+    def test_same_instant_completion_frees_its_replica_first(self):
+        sim = self.two_busy_replicas()
+        records = sim.advance(5.0, arrivals=[(0.0, "svc"), (0.0, "svc")])
+        late = next(r for r in records if r.request_id == 2)
+        # Replica 1's completion at 0.5 fires before the arrival, so the
+        # arrival finds it idle rather than tying with replica 0.
+        assert (late.replica_id, late.start_service_time) == (1, 0.5)
+
+    def test_earlier_submitted_arrival_dispatches_first(self):
+        sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0)
+        sim.schedule_timer(2.0, lambda: sim.submit(sim.now, "svc"))
+        records = sim.advance(10.0, arrivals=[(2.0, "svc")])  # request 0, on the heap
+        starts = {r.request_id: r.start_service_time for r in records}
+        assert starts == {0: 2.0, 1: 3.0}
+
+    def test_lane_drains_before_advance_returns(self):
+        # The next heap event, replica 0's completion at 1.0, lies past until.
+        sim = self.two_busy_replicas()
+        sim.advance(0.5, arrivals=[(0.0, "svc"), (0.0, "svc")])
+        replicas = sim.services["svc"].replicas
+        assert [(r.in_flight, len(r.queue)) for r in replicas.values()] == [(1, 0), (1, 0)]
+        late = next(r for r in sim.advance(5.0) if r.request_id == 2)
+        assert (late.replica_id, late.start_service_time) == (1, 0.5)
 
 
 class TestConservationAndDeterminism:
@@ -331,6 +381,22 @@ def test_memory_stays_flat_as_the_horizon_grows():
         tracemalloc.stop()
     assert resolved > 4000
     assert held[2400] <= held[600], held
+
+
+def test_closed_loop_pushes_at_most_two_heap_events_per_request():
+    # A think timer and one terminal event per request; each arrival is
+    # submitted at the instant its timer fires and so skips the heap.
+    sim = one_replica_sim(nominal=0.5, cpu_alloc=100.0, timeout=2.0, replicas=2, startup=3.0)
+    phases = ((20.0, 4), (20.0, 9), (20.0, 3))
+    ClosedLoopDriver(sim, LoadProfile(phases=phases, target_service="svc",
+                                      think_time=1.0, think_jitter=0.3), seed=5)
+    sim.schedule_timer(25.0, lambda: sim.apply_rolling_update("svc", 3, cpu=150.0))
+    resolved = sum(len(sim.advance(float(t))) for t in range(5, 71, 5))
+    issued = sim._next_request_id
+    timers = len(phases) + 1 + 1  # each phase, the end of the load, the update
+    startups = sum(1 for row in sim.event_log if row[1] == "replica_created")
+    assert issued > 200 and resolved == issued and startups > 0
+    assert sim._seq <= 2 * issued + timers + startups
 
 
 def test_event_log_export(tmp_path):

@@ -276,6 +276,7 @@ BAD_VALUES = {
     "negative cooldown": (("controllers", 0, "cooldown"), -5.0),
     "negative vertical rate": (("controllers", 0, "vertical_cpu_rate"), -10.0),
     "cpu threshold of 0": (("controllers", 1, "cpu_threshold"), 0.0),
+    "cpu threshold in the tolerance dead zone": (("controllers", 1, "cpu_threshold"), 95.0),
     "unknown target service": (("workload", "target_service"), "backend"),
     "horizon not a multiple of metrics_interval": (("workload", "phases", 0, 0), 62.0),
     "slo window not a multiple of metrics_interval": (("controllers", 0, "slo_window"), 62.0),

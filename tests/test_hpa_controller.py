@@ -122,6 +122,14 @@ class TestTick:
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         HpaConfig(cpu_threshold=0.0)
+    # At tolerance 0.10 the HPA scales up only above 1.1 x threshold, out of
+    # reach from 100 / 1.1 = 90.9 up.
+    with pytest.raises(ConfigurationError, match=r"100 / \(1 \+ tolerance\)"):
+        HpaConfig(cpu_threshold=95.0)
+    assert HpaConfig(cpu_threshold=90.0).cpu_threshold == 90.0
+    assert HpaConfig(cpu_threshold=95.0, tolerance=0.0).cpu_threshold == 95.0
+    with pytest.raises(ConfigurationError):
+        HpaConfig(cpu_threshold=100.0, tolerance=0.0)
     with pytest.raises(ConfigurationError):
         HpaConfig(cpu_threshold=60.0, sync_period=0.0)
     with pytest.raises(ConfigurationError):
