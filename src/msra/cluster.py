@@ -2,8 +2,9 @@
 
 Services hold replicas; each replica serves one request at a time from its own
 FIFO queue. Arrivals are dispatched to the ready replica with the smallest
-backlog (in flight + queued), ties to the lowest replica id. Effective service
-time scales inversely with the CPU allocation:
+backlog, a count of the requests dispatched to it and not yet resolved (in
+flight + queued), ties to the lowest replica id. Effective service time scales
+inversely with the CPU allocation:
 
     s_eff = nominal_service_time * reference_cpu / cpu_alloc
 
@@ -14,7 +15,8 @@ surge of one, so the ready count never dips during an allocation change.
 
 Every service always has a ready replica to dispatch to (see ``_dispatch``).
 Events fire in (time, event-kind rank, sequence) order, so every run is
-bit-reproducible. A request pushes one terminal event when it starts service.
+bit-reproducible. A request pushes one terminal event when it starts service,
+and holds its replica from then until it resolves.
 An arrival at the current instant skips the heap for a FIFO lane, drained once
 that instant's heap events have fired: arrivals rank last, earlier ones by seq.
 """
@@ -22,9 +24,9 @@ that instant's heap events have fired: arrivals rank last, earlier ones by seq.
 from __future__ import annotations
 
 import csv
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from .errors import BoundViolation, ConfigurationError, InputError
 
@@ -111,7 +113,7 @@ class ScalingRequirements:
             raise ConfigurationError(f"initial mem allocation {mem} outside bounds")
 
 
-@dataclass
+@dataclass(slots=True)
 class ReplicaState:
     replica_id: int
     cpu_alloc: float
@@ -120,6 +122,7 @@ class ReplicaState:
     in_flight: int = 0
     queue: deque = field(default_factory=deque)
     busy_since: float | None = None
+    backlog: int = 0  # requests dispatched here and not yet resolved: in_flight + len(queue)
 
 
 @dataclass(frozen=True)
@@ -148,10 +151,11 @@ class ServiceView:
 
 class RequestRecord:
     """One request, carried by its events and queues; ``outcome`` and
-    ``completion_time`` are set when it resolves."""
+    ``completion_time`` are set when it resolves. ``replica`` is the replica
+    serving it, set while it is in service only."""
 
     __slots__ = ("request_id", "service", "arrival_time", "start_service_time",
-                 "completion_time", "outcome", "replica_id")
+                 "completion_time", "outcome", "replica_id", "replica")
 
     def __init__(self, request_id: int, service: str, arrival_time: float):
         self.request_id = request_id
@@ -161,6 +165,7 @@ class RequestRecord:
         self.completion_time: float | None = None
         self.outcome: str | None = None
         self.replica_id: int | None = None
+        self.replica: ReplicaState | None = None
 
     @property
     def response_time(self) -> float:
@@ -242,7 +247,8 @@ class ClusterSim:
         """Run ``callback()`` when the clock reaches ``time``; fires before same-instant traffic."""
         if time < self.now:
             raise InputError(f"timer at {time} is in the past (now={self.now})")
-        self._push(time, TIMER, callback)
+        self._seq += 1
+        heappush(self._events, (time, TIMER, self._seq, callback))
 
     def submit(self, time: float, service: str) -> int:
         """Schedule one request arrival; returns its request id. One at ``now`` skips the heap."""
@@ -260,14 +266,7 @@ class ClusterSim:
 
     def _push(self, time: float, kind: int, payload) -> None:
         self._seq += 1
-        heapq.heappush(self._events, (time, kind, self._seq, payload))
-
-    def _push_timeout(self, req: RequestRecord) -> None:
-        # Same-instant timeouts fire in request-id order, then push order: the
-        # order they would have if every request pushed its timeout on submit.
-        self._seq += 1
-        deadline = req.arrival_time + self.timeout
-        heapq.heappush(self._events, (deadline, TIMEOUT, (req.request_id, self._seq), req))
+        heappush(self._events, (time, kind, self._seq, payload))
 
     # ------------------------------------------------------------- event loop
 
@@ -292,6 +291,7 @@ class ClusterSim:
 
         self._interval_records = []
         events, lane, services = self._events, self._lane, self.services
+        dispatch, end_service, pop = self._dispatch, self._end_service, heappop
         while True:
             # The lane waits until no heap event is left at this instant, and
             # empties before the clock moves. That is the (time, kind, seq)
@@ -301,22 +301,23 @@ class ClusterSim:
             if lane:
                 if not events or events[0][0] > self.now:
                     req = lane.popleft()
-                    self._dispatch(services[req.service], req)
+                    dispatch(services[req.service], req)
                     continue
             elif not events or events[0][0] > until:
                 break
-            time, kind, _seq, payload = heapq.heappop(events)
+            time, kind, _seq, payload = pop(events)
             self.now = time
-            if kind == ARRIVAL:
-                self._dispatch(services[payload.service], payload)
-            elif kind == COMPLETE:
-                self._end_service(payload, COMPLETED)
+            # Kinds in order of frequency: a completion and a think timer per request.
+            if kind == COMPLETE:
+                end_service(payload, COMPLETED)
+            elif kind == TIMER:
+                payload()
             elif kind == TIMEOUT:
-                self._end_service(payload, FAILED_TIMEOUT)
+                end_service(payload, FAILED_TIMEOUT)
             elif kind == STARTUP:
                 self._on_startup(payload)
             else:
-                payload()
+                dispatch(services[payload.service], payload)
         self.now = until
         return self._interval_records
 
@@ -330,46 +331,54 @@ class ClusterSim:
         # replaced replica drains only after its successor is ready.
         best = None
         for rep in svc.replicas.values():
-            if rep.phase != READY:
-                continue
-            backlog = rep.in_flight + len(rep.queue)
-            if best is None or backlog < best_backlog:
-                best, best_backlog = rep, backlog
+            if rep.phase == READY and (best is None or rep.backlog < best.backlog):
+                best = rep
+        best.backlog += 1
         if best.in_flight == 0:
             self._start_service(svc, best, req)
         else:
             best.queue.append(req)
 
     def _start_service(self, svc: _Service, rep: ReplicaState, req: RequestRecord) -> None:
+        now = self.now
+        req.replica = rep
         req.replica_id = rep.replica_id
-        req.start_service_time = self.now
+        req.start_service_time = now
         rep.in_flight = 1
-        rep.busy_since = self.now
-        s_eff = svc.profile.nominal_service_time * svc.profile.reference_cpu / rep.cpu_alloc
+        rep.busy_since = now
+        profile = svc.profile
+        done = now + profile.nominal_service_time * profile.reference_cpu / rep.cpu_alloc
+        deadline = req.arrival_time + self.timeout
         # The one terminal event. A queued request needs none before it starts:
         # replica queues are FIFO in arrival order and the timeout is one
         # constant, so the request ahead resolves by its own deadline, no later
         # than this one's, and this one starts by its deadline.
-        if self.now + s_eff <= req.arrival_time + self.timeout:
-            self._push(self.now + s_eff, COMPLETE, req)
+        self._seq += 1
+        if done <= deadline:
+            heappush(self._events, (done, COMPLETE, self._seq, req))
         else:
-            self._push_timeout(req)
+            # Same-instant timeouts fire in request-id order, then push order: the
+            # order they would have if every request pushed its timeout on submit.
+            heappush(self._events, (deadline, TIMEOUT, (req.request_id, self._seq), req))
 
     def _end_service(self, req: RequestRecord, outcome: str) -> None:
         # The request's one terminal event: it is in service on its replica.
+        rep = req.replica
+        req.replica = None
         svc = self.services[req.service]
-        rep = svc.replicas[req.replica_id]
-        svc.used_cpu_seconds += rep.cpu_alloc * (self.now - rep.busy_since)
+        now = self.now
+        svc.used_cpu_seconds += rep.cpu_alloc * (now - rep.busy_since)
         rep.busy_since = None
         rep.in_flight = 0
+        rep.backlog -= 1
         req.outcome = outcome
-        req.completion_time = self.now
+        req.completion_time = now
         self._interval_records.append(req)
         for hook in self.resolve_hooks:
             hook(req)
         if rep.queue:
             self._start_service(svc, rep, rep.queue.popleft())
-        else:
+        elif rep.phase == TERMINATING:
             self._maybe_remove(svc, rep)
 
     # replica lifecycle --------------------------------------------------------
@@ -400,7 +409,7 @@ class ClusterSim:
         self._maybe_remove(svc, rep)
 
     def _maybe_remove(self, svc: _Service, rep: ReplicaState) -> None:
-        if rep.phase == TERMINATING and rep.in_flight == 0 and not rep.queue:
+        if rep.phase == TERMINATING and rep.backlog == 0:
             del svc.replicas[rep.replica_id]
             self._log("replica_removed", svc.name, rep.replica_id, "")
 

@@ -28,6 +28,8 @@ class HpaConfig:
     tolerance: float = 0.10  # relative band around the threshold
 
     def __post_init__(self):
+        if not 0 <= self.tolerance < math.inf:
+            raise ConfigurationError(f"tolerance must be a non-negative finite number, not {self.tolerance}")
         ceiling = 100 / (1 + self.tolerance)  # scaling up needs utilization above threshold * (1 + tolerance)
         if not 0 < self.cpu_threshold < ceiling:
             raise ConfigurationError(f"cpu_threshold must be in (0, 100 / (1 + tolerance)) = (0, {ceiling:.4g}), "

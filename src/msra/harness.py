@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -273,6 +274,7 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     ClosedLoopDriver(sim, cfg.workload, seed=cfg.seed + repetition)
     service = cfg.workload.target_service
     slo1, slo2 = ctrl.slo_specs(service)
+    deadline = slo1.deadline
     controller = ctrl.controller(service, sim.service_view(service).requirements, store)
 
     steps = round(cfg.workload.total_duration / cfg.metrics_interval)
@@ -308,7 +310,7 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
         failed = within = 0
         for rec in resolved:
             failed += rec.outcome != COMPLETED
-            within += rec.response_time <= slo1.deadline
+            within += rec.completion_time - rec.arrival_time <= deadline
         counts.append((len(resolved), failed, within))
         requests += len(resolved)
         failures += failed
@@ -481,6 +483,9 @@ def _to_data(value):
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build each level from its keys; the dataclasses supply every default,
     and an unknown or misspelled key is rejected at any level."""
+    # json reads NaN and Infinity; no setting means anything with them.
+    if bad := _non_finite(data):
+        raise ConfigurationError(f"bad experiment configuration: {bad} is not a finite number")
     try:
         workload = data["workload"]
         return ExperimentConfig(**{
@@ -497,6 +502,17 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         })
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad experiment configuration: {exc}") from exc
+
+
+def _non_finite(value, path: str = "config") -> str | None:
+    """The path of the first NaN or infinite number in JSON-shaped ``value``, if any."""
+    if isinstance(value, dict):
+        value = value.items()
+    elif isinstance(value, (list, tuple)):
+        value = enumerate(value)
+    else:
+        return path if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_non_finite(item, f"{path}.{key}") for key, item in value)), None)
 
 
 def _spec_from_dict(data: dict) -> ControllerSpec:

@@ -72,6 +72,13 @@ class ClosedLoopDriver:
         self._user_state = [_IDLE] * profile.max_users
         self._req_user: dict[int, int] = {}
         self._think_callbacks = [partial(self._think_over, idx) for idx in range(profile.max_users)]
+        # Read once: the per-request path below touches only these.
+        self._service = profile.target_service
+        self._think = profile.think_time
+        self._jitter = profile.think_jitter if profile.think_time > 0 else 0.0
+        self._random = self.rng.random
+        self._submit = sim.submit
+        self._schedule_timer = sim.schedule_timer
         sim.resolve_hooks.append(self._on_resolve)
         boundary = sim.now
         for duration, users in profile.phases:
@@ -85,28 +92,26 @@ class ClosedLoopDriver:
             self.active_users = users
             for idx in range(users):
                 if self._user_state[idx] == _IDLE:
-                    self._issue(idx)
+                    self._think_over(idx)  # a new user issues as if it had just thought
         return apply
-
-    def _issue(self, idx: int) -> None:
-        self._user_state[idx] = _BUSY
-        rid = self.sim.submit(self.sim.now, self.profile.target_service)
-        self._req_user[rid] = idx
 
     def _on_resolve(self, record: RequestRecord) -> None:
         idx = self._req_user.pop(record.request_id, None)
         if idx is None:
             return  # not one of ours
-        if idx >= self.active_users or self.sim.now >= self._end:
+        now = self.sim.now
+        if idx >= self.active_users or now >= self._end:
             self._user_state[idx] = _IDLE
             return
-        think = self.profile.think_time
-        if self.profile.think_jitter and think > 0:
-            think *= 1.0 + self.profile.think_jitter * (2.0 * self.rng.random() - 1.0)
-        self.sim.schedule_timer(self.sim.now + think, self._think_callbacks[idx])
+        think = self._think
+        if self._jitter:
+            think *= 1.0 + self._jitter * (2.0 * self._random() - 1.0)
+        self._schedule_timer(now + think, self._think_callbacks[idx])
 
     def _think_over(self, idx: int) -> None:
-        if idx < self.active_users and self.sim.now < self._end:
-            self._issue(idx)
+        now = self.sim.now
+        if idx < self.active_users and now < self._end:
+            self._user_state[idx] = _BUSY
+            self._req_user[self._submit(now, self._service)] = idx
         else:
             self._user_state[idx] = _IDLE

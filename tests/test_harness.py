@@ -294,6 +294,10 @@ BAD_VALUES = {
     "fractional max_replicas": (("services", 0, "requirements", "max_replicas"), 2.5),
     "fractional repetitions": (("repetitions",), 1.5),
     "boolean repetitions": (("repetitions",), True),
+    "infinite phase duration": (("workload", "phases", 0, 0), float("inf")),
+    "NaN think_time": (("workload", "think_time"), float("nan")),
+    "NaN stabilization_window": (("controllers", 1, "stabilization_window"), float("nan")),
+    "NaN cooldown": (("controllers", 0, "cooldown"), float("nan")),
 }
 
 # `msra --paper --dump-config` as an earlier version wrote it, scalar top-level

@@ -134,3 +134,10 @@ def test_config_validation():
         HpaConfig(cpu_threshold=60.0, sync_period=0.0)
     with pytest.raises(ConfigurationError):
         HpaConfig(cpu_threshold=60.0, min_replicas=5, max_replicas=2)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, -0.5, float("nan"), float("inf")])
+def test_tolerance_must_be_non_negative_and_finite(tolerance):
+    # -1.0 divided by zero in the ceiling; -0.5 inverted the band.
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        HpaConfig(cpu_threshold=60.0, tolerance=tolerance)

@@ -256,6 +256,13 @@ class TestExecute:
             expected = rng.randint(lo, hi)
             sim = one_replica_sim(replicas=expected, startup=5.0, requirements=reqs)
             replicas = sim.services["svc"].replicas
+
+            def advance(until, arrivals=()):
+                records = sim.advance(until, arrivals)
+                # The counted backlog, and no resolved record keeps its replica alive.
+                assert all(r.backlog == r.in_flight + len(r.queue) for r in replicas.values())
+                assert all(r.replica is None for r in records)
+
             resolved = []
             sim.resolve_hooks.append(lambda req: resolved.append(req.request_id))
             submitted = 0
@@ -268,11 +275,11 @@ class TestExecute:
                 assert list(replicas) == sorted(replicas)
                 until = sim.now + rng.uniform(0.5, 4.5)  # shorter than startup: surges overlap
                 times = sorted(traffic.uniform(sim.now, until) for _ in range(traffic.randint(0, 12)))
-                sim.advance(until, arrivals=[(t, "svc") for t in times])
+                advance(until, arrivals=[(t, "svc") for t in times])
                 submitted += len(times)
                 assert list(replicas) == sorted(replicas)
                 assert sim.service_view("svc").ready >= 1  # the ready-replica floor
-            sim.advance(sim.now + 100.0)
+            advance(sim.now + 100.0)
             final = sim.service_view("svc")
             assert (final.ready, final.active, final.desired_replicas) == (expected,) * 3
             assert sorted(resolved) == list(range(submitted))  # each request resolves once
