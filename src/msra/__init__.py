@@ -16,10 +16,8 @@ from .cluster import (
 )
 from .controller_hpa import HpaConfig, HpaController, desired_replicas, stabilized_desired
 from .controller_msra import (
-    MsRaConfig,
     MsRaController,
     ScalingAction,
-    Verdict,
     analyze,
     execute,
     plan,

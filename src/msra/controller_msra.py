@@ -17,43 +17,20 @@ Windows with no samples evaluate as met-with-warning and never drive scaling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .cluster import ClusterSim, ServiceView
 from .errors import BoundViolation, ConfigurationError
 # measure and build_status are not called here; simbench/tracing.py wraps
 # them in this module's namespace, so they stay bound until it stops doing so.
-from .slo import SloSpec, SloStatus, StrategyLevel, build_status, measure, target_for  # noqa: F401
+from .slo import SloStatus, StrategyLevel, build_status, measure, target_for  # noqa: F401
+
+if TYPE_CHECKING:
+    from .harness import MsRaSpec
 
 MET = "met"
 EXCEEDED = "exceeded"
 POOR = "poor"
-
-
-@dataclass(frozen=True)
-class MsRaConfig:
-    slos: tuple[SloSpec, ...]
-    preferred_strategy: StrategyLevel = StrategyLevel.NORMAL
-    vertical_cpu_rate: float = 0.0  # percent added to (removed from) each replica's CPU
-    vertical_mem_rate: float = 0.0
-    cooldown: float = 30.0
-    exceed_hysteresis: float = 2.0  # percentage points above target before "exceeded"
-    tight_budget_threshold: float = 2.0  # budgets below this force conservative
-
-    def __post_init__(self):
-        if not self.slos:
-            raise ConfigurationError("at least one SLO is required")
-        if self.vertical_cpu_rate < 0 or self.vertical_mem_rate < 0:
-            raise ConfigurationError("vertical rates must be non-negative")
-        if self.cooldown < 0:
-            raise ConfigurationError("cooldown must be non-negative")
-        if self.exceed_hysteresis < 0:
-            raise ConfigurationError("exceed_hysteresis must be non-negative")
-
-
-@dataclass(frozen=True)
-class Verdict:
-    value: str
-    per_slo: tuple[SloStatus, ...]
 
 
 @dataclass(frozen=True)
@@ -79,7 +56,7 @@ class ScalingAction:
 @dataclass
 class TickResult:
     time: float
-    verdict: Verdict
+    verdict: str  # MET, EXCEEDED or POOR
     strategy: StrategyLevel
     statuses: tuple[SloStatus, ...]
     actions: tuple[ScalingAction, ...]
@@ -87,7 +64,7 @@ class TickResult:
 
     def rows(self, service: str) -> list[list[str]]:
         """decisions.csv rows: one per action, or one ``none`` row for ``service``."""
-        head = [f"{self.time:.1f}", self.verdict.value, self.strategy.value]
+        head = [f"{self.time:.1f}", self.verdict, self.strategy.value]
         budget = "" if self.min_error_budget is None else f"{self.min_error_budget:.3f}"
         if self.actions:
             return [head + [a.service, a.describe(), a.reason, budget] for a in self.actions]
@@ -97,25 +74,25 @@ class TickResult:
         return [head + [service, "none", note, budget]]
 
 
-def _exceeds(status: SloStatus, cfg: MsRaConfig) -> bool:
+def _exceeds(status: SloStatus, cfg: MsRaSpec) -> bool:
     """Measured far enough above the strategy's target to release capacity."""
     return status.samples_present and status.measured_compliance >= status.target + cfg.exceed_hysteresis
 
 
-def analyze(statuses, cfg: MsRaConfig) -> Verdict:
+def analyze(statuses, cfg: MsRaSpec) -> str:
     """Holistic verdict over all SLOs: poor beats exceeded beats met."""
     statuses = tuple(statuses)
     if not statuses:
         raise ConfigurationError("cannot analyze an empty status vector")
     present = [s for s in statuses if s.samples_present]
     if any(s.violated for s in present):
-        return Verdict(POOR, statuses)
+        return POOR
     if any(_exceeds(s, cfg) for s in present):
-        return Verdict(EXCEEDED, statuses)
-    return Verdict(MET, statuses)
+        return EXCEEDED
+    return MET
 
 
-def select_strategy(statuses, cfg: MsRaConfig) -> StrategyLevel:
+def select_strategy(statuses, cfg: MsRaSpec) -> StrategyLevel:
     """Forced conservative on violation or a tight minimum budget; else the preference."""
     present = [s for s in statuses if s.samples_present]
     if any(s.violated for s in present):
@@ -123,7 +100,7 @@ def select_strategy(statuses, cfg: MsRaConfig) -> StrategyLevel:
     budgets = [s.error_budget for s in present]
     if budgets and min(budgets) < cfg.tight_budget_threshold:
         return StrategyLevel.CONSERVATIVE
-    return cfg.preferred_strategy
+    return StrategyLevel(cfg.preferred_strategy)
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
@@ -131,40 +108,31 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 
 
 def plan(
-    verdict: Verdict,
-    views: dict[str, ServiceView],
-    cfg: MsRaConfig,
+    verdict: str,
+    view: ServiceView,
+    cfg: MsRaSpec,
     now: float = 0.0,
-    last_action: dict[str, float] | None = None,
-) -> list[ScalingAction]:
-    """Turn a verdict into per-service scaling actions, honoring cooldowns and bounds."""
-    if verdict.value == MET:
-        return []
-    last_action = last_action or {}
-    if verdict.value == POOR:
-        trigger = [s for s in verdict.per_slo if s.samples_present and s.violated]
-    else:
-        trigger = [s for s in verdict.per_slo if _exceeds(s, cfg)]
-    actions = []
-    for service in sorted({s.service for s in trigger}):
-        if now - last_action.get(service, float("-inf")) < cfg.cooldown:
-            continue
-        view = views[service]
-        reqs = view.requirements
-        if verdict.value == POOR:
-            action = _plan_scale_up(service, view, reqs, cfg)
-        else:
-            action = _plan_scale_down(service, view, reqs, cfg)
-        if action is not None:
-            actions.append(action)
-    return actions
+    last_action: float = float("-inf"),
+) -> ScalingAction | None:
+    """The scaling action a verdict calls for on ``view``'s service, if any.
+
+    None when the verdict is met, when ``cfg.cooldown`` has not passed since
+    ``last_action``, the time of the last applied action, or when the bounds
+    leave nothing to change.
+    """
+    if verdict == MET or now - last_action < cfg.cooldown:
+        return None
+    if verdict == POOR:
+        return _plan_scale_up(view, cfg)
+    return _plan_scale_down(view, cfg)
 
 
-def _plan_scale_up(service, view, reqs, cfg) -> ScalingAction | None:
+def _plan_scale_up(view, cfg) -> ScalingAction | None:
+    reqs = view.requirements
     notes = []
     new_cpu = new_mem = None
     if reqs.vertical_enabled:
-        new_cpu, new_mem = _resize(view, reqs, cfg, +1, notes)
+        new_cpu, new_mem = _resize(view, cfg, +1, notes)
     delta = 0
     if reqs.horizontal_enabled:
         if view.desired_replicas < reqs.max_replicas:
@@ -174,27 +142,29 @@ def _plan_scale_up(service, view, reqs, cfg) -> ScalingAction | None:
     if delta == 0 and new_cpu is None and new_mem is None:
         return None
     notes.insert(0, "verdict poor: scale up")
-    return ScalingAction(service, delta, new_cpu, new_mem, "; ".join(notes))
+    return ScalingAction(view.name, delta, new_cpu, new_mem, "; ".join(notes))
 
 
-def _plan_scale_down(service, view, reqs, cfg) -> ScalingAction | None:
+def _plan_scale_down(view, cfg) -> ScalingAction | None:
+    reqs = view.requirements
     if reqs.horizontal_enabled and view.desired_replicas > reqs.min_replicas:
-        return ScalingAction(service, -1, None, None, "verdict exceeded: release one replica")
+        return ScalingAction(view.name, -1, None, None, "verdict exceeded: release one replica")
     if reqs.vertical_enabled:
         notes = []
-        new_cpu, new_mem = _resize(view, reqs, cfg, -1, notes)
+        new_cpu, new_mem = _resize(view, cfg, -1, notes)
         if new_cpu is not None or new_mem is not None:
             notes.insert(0, "verdict exceeded: trim allocations at min replicas")
-            return ScalingAction(service, 0, new_cpu, new_mem, "; ".join(notes))
+            return ScalingAction(view.name, 0, new_cpu, new_mem, "; ".join(notes))
     return None
 
 
-def _resize(view, reqs, cfg, sign: int, notes: list[str]) -> tuple[float | None, float | None]:
+def _resize(view, cfg, sign: int, notes: list[str]) -> tuple[float | None, float | None]:
     """Per-replica CPU and memory moved by ``sign`` times the vertical rates, clamped to bounds.
 
     A dimension whose rate is zero, or whose clamped value equals the current
     one, comes back as None; each clamp appends a note.
     """
+    reqs = view.requirements
     out = []
     for dim, rate, current, lo, hi in (
         ("cpu", cfg.vertical_cpu_rate, view.cpu_per_replica, reqs.min_cpu, reqs.max_cpu),
@@ -232,11 +202,13 @@ def execute(actions, sim: ClusterSim) -> list[str]:
 
 
 class MsRaController:
-    """Analyze, plan and execute for one simulated cluster; the harness is the monitor."""
+    """Analyze, plan and execute for one service, configured by its profile's
+    ``MsRaSpec``; the harness is the monitor."""
 
-    def __init__(self, cfg: MsRaConfig):
+    def __init__(self, cfg: MsRaSpec, service: str):
         self.cfg = cfg
-        self.last_action: dict[str, float] = {}
+        self.service = service
+        self.last_action: dict[str, float] = {}  # service -> time of its last applied action
 
     def tick(self, now: float, statuses, sim: ClusterSim) -> TickResult:
         """Act on this tick's SLO statuses, one per SLO in ``cfg.slos``.
@@ -250,11 +222,11 @@ class MsRaController:
             replace(s, target=target_for(strategy, s.compliance_threshold)) for s in statuses
         )
         verdict = analyze(statuses, self.cfg)
-        actions = tuple(plan(verdict, sim.views(), self.cfg, now, self.last_action))
-        outcomes = execute(actions, sim)
-        for action, outcome in zip(actions, outcomes):
-            if outcome == "applied":
-                self.last_action[action.service] = now
+        action = plan(verdict, sim.service_view(self.service), self.cfg, now,
+                      self.last_action.get(self.service, float("-inf")))
+        actions = () if action is None else (action,)
+        if execute(actions, sim) == ["applied"]:
+            self.last_action[self.service] = now
         budgets = [s.error_budget for s in statuses if s.samples_present]
         return TickResult(
             time=now,

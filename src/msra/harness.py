@@ -20,7 +20,7 @@ from typing import ClassVar
 
 from .cluster import COMPLETED, ClusterSim, ScalingRequirements, ServerProfile
 from .controller_hpa import HpaConfig, HpaController
-from .controller_msra import MsRaConfig, MsRaController
+from .controller_msra import MsRaController
 from .errors import ConfigurationError
 # measure is not called here; simbench/tracing.py wraps it in this module's
 # namespace, so it stays bound until it stops doing so.
@@ -54,9 +54,10 @@ class ControllerSpec:
     """What every controller profile has: a name and the SLO pair its violations count against.
 
     ``MsRaSpec`` and ``HpaSpec`` add their engine's fields, a ``kind``, the
-    ``control_interval`` the harness ticks at, ``engine_config()``, which
-    builds (and so validates) the engine's configuration, and ``controller()``,
-    which builds the engine for one run.
+    ``control_interval`` the harness ticks at, and ``controller()``, which
+    builds the engine for one run. Every field is checked when the spec is
+    built, so a bad value fails at load time rather than when the run reaches
+    that profile.
     """
 
     name: str
@@ -65,48 +66,52 @@ class ControllerSpec:
     slo1_deadline: float = 2.5
     slo_window: float = 60.0
 
-    def slo_specs(self, service: str) -> tuple[SloSpec, SloSpec]:
+    def __post_init__(self):
+        # export writes each repetition to runs/<name>-<rep>/, and no OS
+        # accepts a NUL in a path.
+        if not self.name or any(c in self.name for c in "/\\\0"):
+            raise ConfigurationError(f"profile name {self.name!r} must be non-empty, without /, \\ or NUL")
+        self.slos  # builds, and so checks, the SLO pair
+
+    @property
+    def slos(self) -> tuple[SloSpec, SloSpec]:
         return (
-            SloSpec("SLO1", LATENCY, self.slo1_threshold, service,
+            SloSpec("SLO1", LATENCY, self.slo1_threshold,
                     window_length=self.slo_window, deadline=self.slo1_deadline),
-            SloSpec("SLO2", FAILURE, self.slo2_threshold, service, window_length=self.slo_window),
+            SloSpec("SLO2", FAILURE, self.slo2_threshold, window_length=self.slo_window),
         )
 
 
 @dataclass(frozen=True)
 class MsRaSpec(ControllerSpec):
-    """An SLO-driven profile."""
+    """An SLO-driven profile, and the configuration of its ``MsRaController``."""
 
     kind: ClassVar[str] = MSRA
     preferred_strategy: str = "normal"
-    vertical_cpu_rate: float = 0.0
+    vertical_cpu_rate: float = 0.0  # percent added to (removed from) each replica's CPU
     vertical_mem_rate: float = 0.0
     evaluation_interval: float = 15.0
     cooldown: float = 30.0
-    exceed_hysteresis: float = 2.0
-    tight_budget_threshold: float = 2.0
+    exceed_hysteresis: float = 2.0  # percentage points above target before "exceeded"
+    tight_budget_threshold: float = 2.0  # budgets below this force conservative
 
     def __post_init__(self):
+        super().__post_init__()
         if self.preferred_strategy not in [s.value for s in StrategyLevel]:
             raise ConfigurationError(f"unknown strategy {self.preferred_strategy!r}")
+        if self.vertical_cpu_rate < 0 or self.vertical_mem_rate < 0:
+            raise ConfigurationError("vertical rates must be non-negative")
+        if self.cooldown < 0:
+            raise ConfigurationError("cooldown must be non-negative")
+        if self.exceed_hysteresis < 0:
+            raise ConfigurationError("exceed_hysteresis must be non-negative")
 
     @property
     def control_interval(self) -> float:
         return self.evaluation_interval
 
-    def engine_config(self, service: str, requirements: ScalingRequirements) -> MsRaConfig:
-        return MsRaConfig(
-            slos=self.slo_specs(service),
-            preferred_strategy=StrategyLevel(self.preferred_strategy),
-            vertical_cpu_rate=self.vertical_cpu_rate,
-            vertical_mem_rate=self.vertical_mem_rate,
-            cooldown=self.cooldown,
-            exceed_hysteresis=self.exceed_hysteresis,
-            tight_budget_threshold=self.tight_budget_threshold,
-        )
-
     def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> MsRaController:
-        return MsRaController(self.engine_config(service, requirements))
+        return MsRaController(self, service)
 
 
 @dataclass(frozen=True)
@@ -118,11 +123,15 @@ class HpaSpec(ControllerSpec):
     stabilization_window: float = 90.0
     sync_period: float = 15.0
 
+    def __post_init__(self):
+        super().__post_init__()
+        HpaConfig(self.cpu_threshold, self.stabilization_window, self.sync_period)  # checks these three
+
     @property
     def control_interval(self) -> float:
         return self.sync_period
 
-    def engine_config(self, service: str, requirements: ScalingRequirements) -> HpaConfig:
+    def engine_config(self, requirements: ScalingRequirements) -> HpaConfig:
         return HpaConfig(
             cpu_threshold=self.cpu_threshold,
             stabilization_window=self.stabilization_window,
@@ -132,7 +141,7 @@ class HpaSpec(ControllerSpec):
         )
 
     def controller(self, service: str, requirements: ScalingRequirements, store: MetricStore) -> HpaController:
-        return HpaController(self.engine_config(service, requirements), service, store)
+        return HpaController(self.engine_config(requirements), service, store)
 
 
 @dataclass(frozen=True)
@@ -164,11 +173,8 @@ class ExperimentConfig:
         if abs(round(horizon / self.metrics_interval) * self.metrics_interval - horizon) > 1e-9:
             raise ConfigurationError("workload duration must be a multiple of metrics_interval")
         service = self.workload.target_service
-        requirements = next((sc.requirements for sc in self.services if sc.name == service), None)
-        if requirements is None:
+        if service not in [sc.name for sc in self.services]:
             raise ConfigurationError(f"workload targets unknown service {service!r}")
-        # Build every profile's engine configuration now, so a bad value fails
-        # at load time rather than when the run reaches that profile.
         for ctrl in self.controllers:
             # run_single ticks and sums SLO counts in whole metrics intervals.
             for what, length in (("control interval", ctrl.control_interval),
@@ -178,7 +184,6 @@ class ExperimentConfig:
                     raise ConfigurationError(
                         f"{ctrl.name}: {what} must be a positive multiple of metrics_interval"
                     )
-            ctrl.engine_config(service, requirements)
 
 
 @dataclass
@@ -273,7 +278,7 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     store = MetricStore()
     ClosedLoopDriver(sim, cfg.workload, seed=cfg.seed + repetition)
     service = cfg.workload.target_service
-    slo1, slo2 = ctrl.slo_specs(service)
+    slo1, slo2 = ctrl.slos
     deadline = slo1.deadline
     controller = ctrl.controller(service, sim.service_view(service).requirements, store)
 
@@ -483,8 +488,7 @@ def _to_data(value):
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build each level from its keys; the dataclasses supply every default,
     and an unknown or misspelled key is rejected at any level."""
-    # json reads NaN and Infinity; no setting means anything with them.
-    if bad := _non_finite(data):
+    if bad := _not_a_number(data):
         raise ConfigurationError(f"bad experiment configuration: {bad} is not a finite number")
     try:
         workload = data["workload"]
@@ -496,7 +500,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 for s in data["services"]
             ),
             "workload": LoadProfile(**{
-                **workload, "phases": tuple((float(d), u) for d, u in workload["phases"]),
+                # float("30") would read a string as a number; LoadProfile rejects a string.
+                **workload, "phases": tuple((float(d) if isinstance(d, (int, float)) else d, u)
+                                            for d, u in workload["phases"]),
             }),
             "controllers": tuple(_spec_from_dict(c) for c in data["controllers"]),
         })
@@ -504,15 +510,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigurationError(f"bad experiment configuration: {exc}") from exc
 
 
-def _non_finite(value, path: str = "config") -> str | None:
-    """The path of the first NaN or infinite number in JSON-shaped ``value``, if any."""
+# A JSON boolean is a Python int, so it would pass for a number; only these
+# settings are declared bool.
+_BOOL_SETTINGS = frozenset(f.name for f in fields(ScalingRequirements) if f.type == "bool")
+
+
+def _not_a_number(value, path: str = "config") -> str | None:
+    """The path of the first NaN or infinite number in JSON-shaped ``value``
+    (json reads both, and no setting means anything with them), or of a
+    boolean given for a setting not declared bool; None if there is none."""
     if isinstance(value, dict):
         value = value.items()
     elif isinstance(value, (list, tuple)):
         value = enumerate(value)
+    elif isinstance(value, bool):
+        return None if path.rpartition(".")[2] in _BOOL_SETTINGS else path
     else:
         return path if isinstance(value, float) and not math.isfinite(value) else None
-    return next(filter(None, (_non_finite(item, f"{path}.{key}") for key, item in value)), None)
+    return next(filter(None, (_not_a_number(item, f"{path}.{key}") for key, item in value)), None)
 
 
 def _spec_from_dict(data: dict) -> ControllerSpec:

@@ -48,7 +48,6 @@ class SloSpec:
     slo_id: str
     kind: str
     threshold: float  # percent: X for latency compliance, Y for failure rate
-    service: str
     window_length: float = 60.0
     deadline: float | None = None  # seconds, latency_compliance only
 
@@ -89,7 +88,6 @@ class SloStatus:
     """Evaluation of one SLO at one instant, normalized to compliance percent."""
 
     slo_id: str
-    service: str
     measured_compliance: float
     compliance_threshold: float
     target: float
@@ -117,9 +115,9 @@ def error_budget(measured: float, compliance_threshold: float) -> float:
     return measured - compliance_threshold
 
 
-def measure(store: MetricStore, slo: SloSpec, now: float) -> float | None:
-    """Window aggregate for an SLO, or None when the window holds no samples."""
-    return store.aggregate(slo.service, slo.metric_window(), now)
+def measure(store: MetricStore, service: str, slo: SloSpec, now: float) -> float | None:
+    """Window aggregate of ``service``'s samples for an SLO, or None when the window holds none."""
+    return store.aggregate(service, slo.metric_window(), now)
 
 
 def build_status(slo: SloSpec, aggregate_value: float | None, strategy: StrategyLevel) -> SloStatus:
@@ -128,7 +126,6 @@ def build_status(slo: SloSpec, aggregate_value: float | None, strategy: Strategy
     if aggregate_value is None:
         return SloStatus(
             slo_id=slo.slo_id,
-            service=slo.service,
             measured_compliance=ct,
             compliance_threshold=ct,
             target=target_for(strategy, ct),
@@ -139,7 +136,6 @@ def build_status(slo: SloSpec, aggregate_value: float | None, strategy: Strategy
     measured = compliance(slo, aggregate_value)
     return SloStatus(
         slo_id=slo.slo_id,
-        service=slo.service,
         measured_compliance=measured,
         compliance_threshold=ct,
         target=target_for(strategy, ct),

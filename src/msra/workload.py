@@ -27,8 +27,8 @@ class LoadProfile:
         if not self.phases:
             raise ConfigurationError("profile needs at least one phase")
         for duration, users in self.phases:
-            if duration <= 0:
-                raise ConfigurationError("phase durations must be positive")
+            if not isinstance(duration, (int, float)) or duration <= 0:
+                raise ConfigurationError(f"phase duration {duration!r} is not a positive number")
             if type(users) is not int or users < 0:
                 raise ConfigurationError(f"user count {users!r} is not a non-negative integer")
         if self.think_time < 0:

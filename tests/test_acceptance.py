@@ -13,9 +13,9 @@ import pytest
 
 from msra.cluster import ClusterSim, ScalingRequirements, ServerProfile
 from msra.controller_hpa import HpaConfig, desired_replicas, stabilized_desired
-from msra.controller_msra import EXCEEDED, MET, POOR, MsRaConfig, analyze, select_strategy
-from msra.harness import benchmark_preset, export, run_experiment
-from msra.slo import LATENCY, SloSpec, SloStatus, StrategyLevel, target_for
+from msra.controller_msra import EXCEEDED, MET, POOR, analyze, select_strategy
+from msra.harness import MsRaSpec, benchmark_preset, export, run_experiment
+from msra.slo import SloStatus, StrategyLevel, target_for
 from msra.telemetry import MetricSample, MetricStore, MetricWindow
 
 from util import fifo_completions, one_replica_sim, ready_trace
@@ -46,8 +46,7 @@ def test_criterion_1_strategy_targets():
 
 def test_criterion_2_verdict_trichotomy_and_forced_conservative():
     start = time.perf_counter()
-    slo = SloSpec("s", LATENCY, 85.0, "web", deadline=1.0)
-    cfg = MsRaConfig(slos=(slo,), preferred_strategy=StrategyLevel.BEST_EFFORT)
+    cfg = MsRaSpec("web", 85.0, 1.0, slo1_deadline=1.0, preferred_strategy="best_effort")
     rng = random.Random(2024)
     ok = True
     for _ in range(10_000):
@@ -57,7 +56,7 @@ def test_criterion_2_verdict_trichotomy_and_forced_conservative():
             measured = rng.uniform(40.0, 100.0)
             strategy = rng.choice(list(StrategyLevel))
             statuses.append(SloStatus(
-                slo_id=f"s{i}", service="web",
+                slo_id=f"s{i}",
                 measured_compliance=measured,
                 compliance_threshold=threshold,
                 target=target_for(strategy, threshold),
@@ -70,8 +69,8 @@ def test_criterion_2_verdict_trichotomy_and_forced_conservative():
             s.measured_compliance >= s.target + cfg.exceed_hysteresis for s in statuses
         )
         expected = POOR if is_poor else EXCEEDED if is_exceeded else MET
-        ok &= verdict.value == expected
-        ok &= [verdict.value == v for v in (POOR, EXCEEDED, MET)].count(True) == 1
+        ok &= verdict == expected
+        ok &= [verdict == v for v in (POOR, EXCEEDED, MET)].count(True) == 1
         if is_poor:
             ok &= select_strategy(statuses, cfg) is StrategyLevel.CONSERVATIVE
         if not ok:

@@ -6,7 +6,7 @@ import pytest
 
 from msra.cluster import ClusterSim, ScalingRequirements, ServerProfile
 from msra.controller_hpa import HpaConfig, HpaController
-from msra.controller_msra import MsRaConfig, MsRaController
+from msra.controller_msra import MsRaController
 from msra.errors import ConfigurationError
 from msra import cli, harness
 from msra.slo import StrategyLevel, build_status, measure
@@ -298,6 +298,15 @@ BAD_VALUES = {
     "NaN think_time": (("workload", "think_time"), float("nan")),
     "NaN stabilization_window": (("controllers", 1, "stabilization_window"), float("nan")),
     "NaN cooldown": (("controllers", 0, "cooldown"), float("nan")),
+    "profile name leaving the output directory": (("controllers", 0, "name"), "../../escaped"),
+    "profile name with a subdirectory": (("controllers", 0, "name"), "a/b"),
+    "profile name with a backslash": (("controllers", 0, "name"), "a\\b"),
+    "empty profile name": (("controllers", 0, "name"), ""),
+    "profile name with a NUL": (("controllers", 0, "name"), "a\0b"),
+    "boolean timeout": (("timeout",), True),
+    "boolean cooldown": (("controllers", 0, "cooldown"), False),
+    "boolean nominal_service_time": (("services", 0, "profile", "nominal_service_time"), True),
+    "phase duration as a string": (("workload", "phases", 0, 0), "30"),
 }
 
 # `msra --paper --dump-config` as an earlier version wrote it, scalar top-level
@@ -365,14 +374,12 @@ class TestConfigSerialization:
 
     def test_spec_defaults_equal_engine_defaults(self):
         # A field the engine requires (HpaConfig.cpu_threshold) has no default to disagree with.
-        for spec_cls, engine_cls in ((MsRaSpec, MsRaConfig), (HpaSpec, HpaConfig)):
-            spec_defaults = {f.name: f.default for f in dataclasses.fields(spec_cls)}
-            shared = [f for f in dataclasses.fields(engine_cls)
-                      if f.name in spec_defaults and f.default is not dataclasses.MISSING]
-            assert len(shared) >= 2
-            for f in shared:
-                engine = f.default.value if isinstance(f.default, StrategyLevel) else f.default
-                assert spec_defaults[f.name] == engine, f"{engine_cls.__name__}.{f.name}"
+        spec_defaults = {f.name: f.default for f in dataclasses.fields(HpaSpec)}
+        shared = [f for f in dataclasses.fields(HpaConfig)
+                  if f.name in spec_defaults and f.default is not dataclasses.MISSING]
+        assert len(shared) >= 2
+        for f in shared:
+            assert spec_defaults[f.name] == f.default, f"HpaConfig.{f.name}"
 
     def test_bad_kind_rejected(self):
         data = config_to_dict(small_config())
@@ -471,7 +478,8 @@ class TestSloCounts:
             class Checking(controller_cls):
                 def tick(self, now, statuses, sim):
                     store, slos = reference["store"], reference["slos"]
-                    assert statuses == [build_status(slo, measure(store, slo, now), StrategyLevel.BEST_EFFORT)
+                    assert statuses == [build_status(slo, measure(store, self.service, slo, now),
+                                                     StrategyLevel.BEST_EFFORT)
                                         for slo in slos]
                     seen["ticks"] += 1
                     seen["empty"] += not statuses[0].samples_present
@@ -505,6 +513,6 @@ class TestSloCounts:
                 timeout=rng.choice([0.5, 2.0, 10.0]),
                 metrics_interval=interval,
             )
-            reference["slos"] = ctrl.slo_specs(service.name)
+            reference["slos"] = ctrl.slos
             run_single(cfg, ctrl, rng.randrange(100))
         assert seen["ticks"] > 200 and seen["empty"] > 0 and seen["failed"] > 0

@@ -8,20 +8,16 @@ from msra.controller_msra import (
     EXCEEDED,
     MET,
     POOR,
-    MsRaConfig,
     MsRaController,
     ScalingAction,
-    Verdict,
     analyze,
     execute,
     plan,
     select_strategy,
 )
 from msra.errors import ConfigurationError
+from msra.harness import MsRaSpec
 from msra.slo import (
-    FAILURE,
-    LATENCY,
-    SloSpec,
     SloStatus,
     StrategyLevel,
     build_status,
@@ -33,22 +29,17 @@ from msra.telemetry import MetricSample, MetricStore
 from util import one_replica_sim
 
 
-SLO1 = SloSpec("SLO1", LATENCY, 85.0, "web", window_length=60.0, deadline=2.5)
-SLO2 = SloSpec("SLO2", FAILURE, 2.0, "web", window_length=60.0)
-
-
 def cfg(**kwargs):
-    defaults = dict(slos=(SLO1, SLO2), preferred_strategy=StrategyLevel.NORMAL,
-                    vertical_cpu_rate=20.0, vertical_mem_rate=20.0)
+    # SLO1: 85% within 2.5 s, SLO2: at most 2% failed, both over 60 s windows.
+    defaults = dict(name="web-profile", slo1_threshold=85.0, slo2_threshold=2.0,
+                    preferred_strategy="normal", vertical_cpu_rate=20.0, vertical_mem_rate=20.0)
     defaults.update(kwargs)
-    return MsRaConfig(**defaults)
+    return MsRaSpec(**defaults)
 
 
-def status(measured, threshold=85.0, strategy=StrategyLevel.NORMAL, service="web",
-           slo_id="SLO1", present=True):
+def status(measured, threshold=85.0, strategy=StrategyLevel.NORMAL, slo_id="SLO1", present=True):
     return SloStatus(
         slo_id=slo_id,
-        service=service,
         measured_compliance=measured,
         compliance_threshold=threshold,
         target=target_for(strategy, threshold),
@@ -60,7 +51,7 @@ def status(measured, threshold=85.0, strategy=StrategyLevel.NORMAL, service="web
 
 def measured_statuses(controller, store, now):
     """Statuses as the harness builds them once per tick."""
-    return [build_status(slo, measure(store, slo, now), StrategyLevel.BEST_EFFORT)
+    return [build_status(slo, measure(store, controller.service, slo, now), StrategyLevel.BEST_EFFORT)
             for slo in controller.cfg.slos]
 
 
@@ -76,17 +67,24 @@ def view(active=1, ready=None, cpu=200.0, mem=256.0, reqs=None):
 class TestAnalyze:
     def test_violation_means_poor(self):
         verdict = analyze([status(80.0)], cfg())
-        assert verdict.value == POOR
+        assert verdict == POOR
 
     def test_all_exactly_at_target_is_met(self):
         statuses = [status(90.0), status(99.0, threshold=98.0, slo_id="SLO2")]
         assert all(s.measured_compliance == s.target for s in statuses[:1])
-        assert analyze(statuses, cfg()).value == MET
+        assert analyze(statuses, cfg()) == MET
 
     def test_above_target_plus_hysteresis_is_exceeded(self):
         # target 90, hysteresis 2: 99.5 >= 92
         verdict = analyze([status(99.5)], cfg(exceed_hysteresis=2.0))
-        assert verdict.value == EXCEEDED
+        assert verdict == EXCEEDED
+
+    def test_measured_100_under_a_capped_target_is_met(self):
+        # Conservative over threshold 95 aims for 105, capped at 100, and
+        # 100 < 100 + hysteresis: no measurement can release capacity.
+        full = status(100.0, threshold=95.0, strategy=StrategyLevel.CONSERVATIVE)
+        assert full.target == 100.0
+        assert analyze([full], cfg()) == MET
 
     def test_empty_statuses_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -94,7 +92,7 @@ class TestAnalyze:
 
     def test_absent_statuses_do_not_drive_verdicts(self):
         absent = status(0.0, present=False)
-        assert analyze([absent], cfg()).value == MET
+        assert analyze([absent], cfg()) == MET
 
     def test_trichotomy_randomized(self):
         rng = random.Random(5)
@@ -111,102 +109,87 @@ class TestAnalyze:
                 s.measured_compliance >= s.target + config.exceed_hysteresis for s in statuses
             )
             expected = POOR if is_poor else EXCEEDED if is_exceeded else MET
-            assert verdict.value == expected
+            assert verdict == expected
 
 
 class TestSelectStrategy:
     def test_violation_forces_conservative(self):
-        picked = select_strategy([status(70.0)], cfg(preferred_strategy=StrategyLevel.BEST_EFFORT))
+        picked = select_strategy([status(70.0)], cfg(preferred_strategy="best_effort"))
         assert picked is StrategyLevel.CONSERVATIVE
 
     def test_tight_budget_forces_conservative(self):
         # budget 1pp < tight threshold 2pp
-        picked = select_strategy([status(86.0)], cfg(preferred_strategy=StrategyLevel.BEST_EFFORT))
+        picked = select_strategy([status(86.0)], cfg(preferred_strategy="best_effort"))
         assert picked is StrategyLevel.CONSERVATIVE
 
     def test_wide_budget_uses_preference(self):
-        picked = select_strategy([status(93.0)], cfg(preferred_strategy=StrategyLevel.NORMAL))
+        picked = select_strategy([status(93.0)], cfg(preferred_strategy="normal"))
         assert picked is StrategyLevel.NORMAL
 
     def test_minimum_budget_across_slos_decides(self):
         wide = status(95.0)
         tight = status(99.0, threshold=98.0, slo_id="SLO2")
-        picked = select_strategy([wide, tight], cfg(preferred_strategy=StrategyLevel.BEST_EFFORT))
+        picked = select_strategy([wide, tight], cfg(preferred_strategy="best_effort"))
         assert picked is StrategyLevel.CONSERVATIVE
 
 
 class TestPlan:
     def test_met_plans_nothing(self):
-        verdict = Verdict(MET, (status(90.0),))
-        assert plan(verdict, {"web": view()}, cfg()) == []
+        assert plan(MET, view(), cfg()) is None
 
     def test_poor_boosts_vertically_and_adds_replica(self):
-        verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, {"web": view(cpu=200.0)}, cfg())
-        assert len(actions) == 1
-        action = actions[0]
+        action = plan(POOR, view(cpu=200.0), cfg())
         assert action.horizontal_delta == 1
         assert action.new_cpu_per_replica == 240.0  # 200 * 1.2
 
     def test_exceeded_releases_a_replica(self):
-        verdict = Verdict(EXCEEDED, (status(99.5),))
-        actions = plan(verdict, {"web": view(active=3)}, cfg())
-        assert [a.horizontal_delta for a in actions] == [-1]
+        action = plan(EXCEEDED, view(active=3), cfg())
+        assert action.horizontal_delta == -1
 
     def test_exceeded_at_min_replicas_trims_allocation(self):
-        verdict = Verdict(EXCEEDED, (status(99.5),))
-        actions = plan(verdict, {"web": view(active=1, cpu=200.0)}, cfg())
-        assert actions[0].horizontal_delta == 0
-        assert actions[0].new_cpu_per_replica == 160.0  # 200 * 0.8
+        action = plan(EXCEEDED, view(active=1, cpu=200.0), cfg())
+        assert action.horizontal_delta == 0
+        assert action.new_cpu_per_replica == 160.0  # 200 * 0.8
 
     def test_exceeded_with_zero_rates_at_min_is_noop(self):
-        verdict = Verdict(EXCEEDED, (status(99.5),))
-        actions = plan(verdict, {"web": view(active=1)},
-                       cfg(vertical_cpu_rate=0.0, vertical_mem_rate=0.0))
-        assert actions == []
+        action = plan(EXCEEDED, view(active=1), cfg(vertical_cpu_rate=0.0, vertical_mem_rate=0.0))
+        assert action is None
 
     def test_cooldown_suppresses_actions(self):
-        verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, {"web": view()}, cfg(cooldown=30.0),
-                       now=10.0, last_action={"web": 0.0})
-        assert actions == []
-        actions = plan(verdict, {"web": view()}, cfg(cooldown=30.0),
-                       now=30.0, last_action={"web": 0.0})
-        assert len(actions) == 1
+        assert plan(POOR, view(), cfg(cooldown=30.0), now=10.0, last_action=0.0) is None
+        assert plan(POOR, view(), cfg(cooldown=30.0), now=30.0, last_action=0.0) is not None
 
     def test_boost_clamped_to_bounds_and_annotated(self):
         reqs = ScalingRequirements(min_replicas=1, max_replicas=10,
                                    min_cpu=100.0, max_cpu=220.0, min_mem=64.0, max_mem=4096.0)
-        verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, {"web": view(cpu=200.0, reqs=reqs)}, cfg())
-        assert actions[0].new_cpu_per_replica == 220.0
-        assert "clamped" in actions[0].reason
+        action = plan(POOR, view(cpu=200.0, reqs=reqs), cfg())
+        assert action.new_cpu_per_replica == 220.0
+        assert "clamped" in action.reason
 
     def test_at_max_replicas_only_vertical_remains(self):
         reqs = ScalingRequirements(min_replicas=1, max_replicas=2,
                                    min_cpu=100.0, max_cpu=2000.0, min_mem=64.0, max_mem=4096.0)
-        verdict = Verdict(POOR, (status(70.0),))
-        actions = plan(verdict, {"web": view(active=2, reqs=reqs)}, cfg())
-        assert actions[0].horizontal_delta == 0
-        assert actions[0].new_cpu_per_replica is not None
+        action = plan(POOR, view(active=2, reqs=reqs), cfg())
+        assert action.horizontal_delta == 0
+        assert action.new_cpu_per_replica is not None
 
     def test_monotone_reaction_randomized(self):
         # Degrading one SLO's measured compliance never turns a scale-up into
         # a scale-down or no-op.
         rng = random.Random(17)
         config = cfg()
-        views = {"web": view(active=rng.randint(1, 5))}
+        web = view(active=rng.randint(1, 5))
 
         def direction(statuses):
-            verdict = analyze(statuses, config)
-            actions = plan(verdict, views, config)
-            for a in actions:
-                if a.horizontal_delta > 0:
-                    return 1
-                if a.horizontal_delta < 0:
-                    return -1
-                if a.new_cpu_per_replica is not None:
-                    return 1 if a.new_cpu_per_replica > views["web"].cpu_per_replica else -1
+            a = plan(analyze(statuses, config), web, config)
+            if a is None:
+                return 0
+            if a.horizontal_delta > 0:
+                return 1
+            if a.horizontal_delta < 0:
+                return -1
+            if a.new_cpu_per_replica is not None:
+                return 1 if a.new_cpu_per_replica > web.cpu_per_replica else -1
             return 0
 
         for _ in range(2000):
@@ -300,12 +283,7 @@ class TestLoopLiveness:
         reqs = ScalingRequirements(min_replicas=1, max_replicas=6,
                                    min_cpu=50.0, max_cpu=400.0, min_mem=64.0, max_mem=4096.0)
         sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, requirements=reqs, startup=2.0)
-        slo1 = SloSpec("SLO1", LATENCY, 85.0, "svc", window_length=60.0, deadline=2.5)
-        slo2 = SloSpec("SLO2", FAILURE, 2.0, "svc", window_length=60.0)
-        controller = MsRaController(MsRaConfig(
-            slos=(slo1, slo2), preferred_strategy=StrategyLevel.CONSERVATIVE,
-            vertical_cpu_rate=20.0, vertical_mem_rate=20.0, cooldown=30.0,
-        ))
+        controller = MsRaController(cfg(preferred_strategy="conservative", cooldown=30.0), "svc")
         store = MetricStore()
         arrivals = deque((i / 3.0, "svc") for i in range(1800))
         horizon, step = 600.0, 5.0
@@ -321,7 +299,7 @@ class TestLoopLiveness:
                 store.record(MetricSample(rec.completion_time, "svc", "failure", 1.0 if failed else 0.0))
             if t % 15.0 == 0:
                 result = controller.tick(t, measured_statuses(controller, store, t), sim)
-                if result.verdict.value == MET and met_at is None and t > 60:
+                if result.verdict == MET and met_at is None and t > 60:
                     met_at = t
         assert met_at is not None and met_at <= 600.0
         # capacity actually grew
@@ -330,8 +308,8 @@ class TestLoopLiveness:
 
 def test_controller_tick_treats_missing_data_as_met():
     sim = one_replica_sim(service="web")
-    controller = MsRaController(cfg())
+    controller = MsRaController(cfg(), "web")
     result = controller.tick(15.0, measured_statuses(controller, MetricStore(), 15.0), sim)
-    assert result.verdict.value == MET
+    assert result.verdict == MET
     assert result.actions == ()
     assert result.min_error_budget is None

@@ -35,7 +35,9 @@ def simbench(monkeypatch):
 @pytest.mark.parametrize("profile", ["MS-RA-A", "HPA-A"])
 def test_recorded_and_traced_run_passes_the_benchmark_checks(simbench, profile):
     checks, tracing = simbench
-    cfg = small_config(phases=((30.0, 3), (30.0, 6)))
+    # The second phase overloads one replica, so MS-RA applies actions and
+    # the benchmark's action check has something to check.
+    cfg = small_config(phases=((30.0, 3), (60.0, 20)))
     plain = harness.run_experiment(cfg, [profile])[0].reps[0]
 
     recorder, tracer = checks.Recorder(), tracing.Tracer()
@@ -51,6 +53,8 @@ def test_recorded_and_traced_run_passes_the_benchmark_checks(simbench, profile):
     assert len(recorder.sub_ids) >= rep.requests > 0  # every request went through submit
     assert tracer.calls["workload.hook"] == rep.requests  # the driver's hook, wrapped, saw each one
     assert checks.check_run(SimpleNamespace(cfg=cfg, profile=profile), rep, recorder) == {}
+    if profile.startswith("MS-RA"):
+        assert any(any(tick.applied) for tick in recorder.ticks)
 
 
 def test_driver_appends_one_resolve_hook_last():

@@ -16,10 +16,10 @@ from msra.slo import (
 
 
 def latency_slo(threshold=85.0):
-    return SloSpec("SLO1", LATENCY, threshold, "web", window_length=600.0, deadline=2.0)
+    return SloSpec("SLO1", LATENCY, threshold, window_length=600.0, deadline=2.0)
 
 def failure_slo(threshold=1.0):
-    return SloSpec("SLO2", FAILURE, threshold, "web", window_length=60.0)
+    return SloSpec("SLO2", FAILURE, threshold, window_length=60.0)
 
 
 class TestCompliance:
@@ -92,17 +92,17 @@ class TestErrorBudget:
 class TestSpecValidation:
     def test_threshold_bounds(self):
         with pytest.raises(ConfigurationError):
-            SloSpec("x", LATENCY, 100.0, "web", deadline=1.0)
+            SloSpec("x", LATENCY, 100.0, deadline=1.0)
         with pytest.raises(ConfigurationError):
-            SloSpec("x", FAILURE, 0.0, "web")
+            SloSpec("x", FAILURE, 0.0)
 
     def test_latency_needs_deadline(self):
         with pytest.raises(ConfigurationError):
-            SloSpec("x", LATENCY, 85.0, "web")
+            SloSpec("x", LATENCY, 85.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            SloSpec("x", "throughput", 85.0, "web")
+            SloSpec("x", "throughput", 85.0)
 
 
 def test_absent_status_is_neutral():
