@@ -23,7 +23,6 @@ that instant's heap events have fired: arrivals rank last, earlier ones by seq.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -81,8 +80,6 @@ class ScalingRequirements:
     max_replicas: int = 10
     min_cpu: float = 100.0
     max_cpu: float = 4000.0
-    min_mem: float = 64.0
-    max_mem: float = 4096.0
 
     def __post_init__(self):
         if not (self.horizontal_enabled or self.vertical_enabled):
@@ -93,31 +90,25 @@ class ScalingRequirements:
             raise ConfigurationError("min_replicas must be >= 1")
         if self.min_cpu <= 0:
             raise ConfigurationError("min_cpu must be positive")
-        if self.min_mem < 0:
-            raise ConfigurationError("min_mem must be non-negative")
         for lo, hi, what in (
             (self.min_replicas, self.max_replicas, "replicas"),
             (self.min_cpu, self.max_cpu, "cpu"),
-            (self.min_mem, self.max_mem, "mem"),
         ):
             if lo > hi:
                 raise ConfigurationError(f"min > max for {what} bounds")
 
-    def check_initial(self, replicas: int, cpu: float, mem: float) -> None:
+    def check_initial(self, replicas: int, cpu: float) -> None:
         """Raise ConfigurationError unless a starting replica count and allocation are within bounds."""
         if type(replicas) is not int or not self.min_replicas <= replicas <= self.max_replicas:
             raise ConfigurationError(f"initial replica count {replicas!r} is not an integer within bounds")
         if not self.min_cpu <= cpu <= self.max_cpu:
             raise ConfigurationError(f"initial cpu allocation {cpu} outside bounds")
-        if not self.min_mem <= mem <= self.max_mem:
-            raise ConfigurationError(f"initial mem allocation {mem} outside bounds")
 
 
 @dataclass(slots=True)
 class ReplicaState:
     replica_id: int
     cpu_alloc: float
-    mem_alloc: float
     phase: str
     in_flight: int = 0
     queue: deque = field(default_factory=deque)
@@ -145,7 +136,6 @@ class ServiceView:
     active: int  # starting + ready
     desired_replicas: int
     cpu_per_replica: float
-    mem_per_replica: float
     requirements: ScalingRequirements
 
 
@@ -175,11 +165,11 @@ class RequestRecord:
 class _Service:
     __slots__ = (
         "name", "profile", "requirements", "replicas",
-        "desired_count", "desired_cpu", "desired_mem",
+        "desired_count", "desired_cpu",
         "replacement", "used_cpu_seconds", "usage_mark",
     )
 
-    def __init__(self, name, profile, requirements, desired_count, cpu, mem):
+    def __init__(self, name, profile, requirements, desired_count, cpu):
         self.name = name
         self.profile = profile
         self.requirements = requirements
@@ -188,7 +178,6 @@ class _Service:
         self.replicas: dict[int, ReplicaState] = {}
         self.desired_count = desired_count
         self.desired_cpu = cpu
-        self.desired_mem = mem
         self.replacement: tuple[int, int] | None = None  # (new_id, old_id) in flight
         self.used_cpu_seconds = 0.0
         self.usage_mark = 0.0
@@ -221,24 +210,17 @@ class ClusterSim:
         requirements: ScalingRequirements,
         initial_replicas: int = 1,
         cpu_alloc: float | None = None,
-        mem_alloc: float | None = None,
     ) -> None:
         if name in self.services:
             raise ConfigurationError(f"service {name!r} already defined")
         cpu = profile.reference_cpu if cpu_alloc is None else float(cpu_alloc)
-        mem = requirements.min_mem if mem_alloc is None else float(mem_alloc)
-        requirements.check_initial(initial_replicas, cpu, mem)
-        svc = _Service(name, profile, requirements, initial_replicas, cpu, mem)
+        requirements.check_initial(initial_replicas, cpu)
+        svc = _Service(name, profile, requirements, initial_replicas, cpu)
         self.services[name] = svc
         for _ in range(initial_replicas):
             rid = self._next_replica_id
             self._next_replica_id += 1
-            svc.replicas[rid] = ReplicaState(
-                replica_id=rid,
-                cpu_alloc=cpu,
-                mem_alloc=mem,
-                phase=READY,
-            )
+            svc.replicas[rid] = ReplicaState(replica_id=rid, cpu_alloc=cpu, phase=READY)
             self._log("replica_ready", name, rid, "initial")
 
     # ------------------------------------------------------------- scheduling
@@ -416,16 +398,11 @@ class ClusterSim:
     def _spawn(self, svc: _Service, replaces: int | None = None) -> ReplicaState:
         rid = self._next_replica_id
         self._next_replica_id += 1
-        rep = ReplicaState(
-            replica_id=rid,
-            cpu_alloc=svc.desired_cpu,
-            mem_alloc=svc.desired_mem,
-            phase=STARTING,
-        )
+        rep = ReplicaState(replica_id=rid, cpu_alloc=svc.desired_cpu, phase=STARTING)
         svc.replicas[rid] = rep
         if replaces is not None:
             svc.replacement = (rid, replaces)
-        self._log("replica_created", svc.name, rid, f"cpu={svc.desired_cpu:g};mem={svc.desired_mem:g}")
+        self._log("replica_created", svc.name, rid, f"cpu={svc.desired_cpu:g}")
         if svc.profile.startup_duration == 0:
             self._make_ready(svc, rep)
         else:
@@ -434,16 +411,15 @@ class ClusterSim:
 
     def _advance_pipeline(self, svc: _Service) -> None:
         # At most one replacement in flight: surge of one, zero unavailability.
-        # The next to replace is the lowest-id live replica whose allocation
-        # differs from the desired one. A replica never changes its allocation
+        # The next to replace is the lowest-id live replica whose CPU
+        # allocation differs from the desired one. A replica never changes its allocation
         # and every replica spawned since the last update has the desired one,
         # so these are the replicas the last update found stale, minus those
         # replaced or terminated since.
         if svc.replacement is not None:
             return
-        desired = (svc.desired_cpu, svc.desired_mem)
         for old in svc.replicas.values():
-            if old.phase != TERMINATING and (old.cpu_alloc, old.mem_alloc) != desired:
+            if old.phase != TERMINATING and old.cpu_alloc != svc.desired_cpu:
                 self._spawn(svc, replaces=old.replica_id)
                 return
 
@@ -454,9 +430,8 @@ class ClusterSim:
         service: str,
         target_replicas: int,
         cpu: float | None = None,
-        mem: float | None = None,
     ) -> None:
-        """Move a service toward a new replica count and/or per-replica allocation.
+        """Move a service toward a new replica count and/or per-replica CPU allocation.
 
         Validation is all-or-nothing: a target outside the service's
         ScalingRequirements raises BoundViolation and changes nothing.
@@ -466,7 +441,6 @@ class ClusterSim:
         svc = self.services[service]
         reqs = svc.requirements
         new_cpu = svc.desired_cpu if cpu is None else float(cpu)
-        new_mem = svc.desired_mem if mem is None else float(mem)
         if not reqs.min_replicas <= target_replicas <= reqs.max_replicas:
             raise BoundViolation(
                 f"{service}: target {target_replicas} replicas outside "
@@ -474,18 +448,15 @@ class ClusterSim:
             )
         if not reqs.min_cpu <= new_cpu <= reqs.max_cpu:
             raise BoundViolation(f"{service}: cpu {new_cpu} outside [{reqs.min_cpu}, {reqs.max_cpu}]")
-        if not reqs.min_mem <= new_mem <= reqs.max_mem:
-            raise BoundViolation(f"{service}: mem {new_mem} outside [{reqs.min_mem}, {reqs.max_mem}]")
         # desired_count, not the live replicas: a replacement's surge replica
         # is no change of replica count.
         if target_replicas != svc.desired_count and not reqs.horizontal_enabled:
             raise BoundViolation(f"{service}: horizontal scaling is disabled")
-        if (new_cpu, new_mem) != (svc.desired_cpu, svc.desired_mem) and not reqs.vertical_enabled:
+        if new_cpu != svc.desired_cpu and not reqs.vertical_enabled:
             raise BoundViolation(f"{service}: vertical scaling is disabled")
 
         svc.desired_count = target_replicas
         svc.desired_cpu = new_cpu
-        svc.desired_mem = new_mem
         svc.replacement = None  # superseding update recomputes the pipeline
 
         active = [r for r in svc.replicas.values() if r.phase != TERMINATING]
@@ -532,22 +503,11 @@ class ClusterSim:
             active=sum(1 for r in replicas if r.phase != TERMINATING),
             desired_replicas=svc.desired_count,
             cpu_per_replica=svc.desired_cpu,
-            mem_per_replica=svc.desired_mem,
             requirements=svc.requirements,
         )
 
     def views(self) -> dict[str, ServiceView]:
         return {name: self.service_view(name) for name in self.services}
 
-    def ready_count(self, name: str) -> int:
-        return sum(1 for r in self.services[name].replicas.values() if r.phase == READY)
-
     def _log(self, kind: str, service: str, replica_id: int, detail: str) -> None:
         self.event_log.append((self.now, kind, service, replica_id, detail))
-
-    def export_event_log(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "event_kind", "service", "replica_id", "detail"])
-            for time, kind, service, replica_id, detail in self.event_log:
-                writer.writerow([f"{time:.6f}", kind, service, replica_id, detail])

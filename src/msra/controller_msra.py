@@ -7,9 +7,9 @@ Rules, in order:
 * any violated SLO forces the conservative strategy;
 * a minimum error budget tighter than ``tight_budget_threshold`` also forces
   conservative, otherwise the customer's preferred strategy applies;
-* verdict ``poor`` scales up (+1 replica when allowed, plus a vertical boost of
-  the configured rates), ``exceeded`` scales down (-1 replica, or a vertical
-  trim once at min replicas), ``met`` does nothing.
+* verdict ``poor`` scales up (+1 replica when allowed, plus a per-replica CPU
+  boost of ``vertical_cpu_rate``), ``exceeded`` scales down (-1 replica, or a
+  CPU trim once at min replicas), ``met`` does nothing.
 
 Windows with no samples evaluate as met-with-warning and never drive scaling.
 """
@@ -38,18 +38,15 @@ class ScalingAction:
     service: str
     horizontal_delta: int = 0
     new_cpu_per_replica: float | None = None
-    new_mem_per_replica: float | None = None
     reason: str = ""
 
     def describe(self) -> str:
-        """The decisions.csv action cell, e.g. ``replicas+1;cpu=600;mem=307.2``."""
+        """The decisions.csv action cell, e.g. ``replicas+1;cpu=600``."""
         parts = []
         if self.horizontal_delta:
             parts.append(f"replicas{self.horizontal_delta:+d}")
         if self.new_cpu_per_replica is not None:
             parts.append(f"cpu={self.new_cpu_per_replica:g}")
-        if self.new_mem_per_replica is not None:
-            parts.append(f"mem={self.new_mem_per_replica:g}")
         return ";".join(parts) if parts else "none"
 
 
@@ -130,56 +127,47 @@ def plan(
 def _plan_scale_up(view, cfg) -> ScalingAction | None:
     reqs = view.requirements
     notes = []
-    new_cpu = new_mem = None
-    if reqs.vertical_enabled:
-        new_cpu, new_mem = _resize(view, cfg, +1, notes)
+    new_cpu = _resize(view, cfg, +1, notes) if reqs.vertical_enabled else None
     delta = 0
     if reqs.horizontal_enabled:
         if view.desired_replicas < reqs.max_replicas:
             delta = 1
         else:
             notes.append("at max replicas")
-    if delta == 0 and new_cpu is None and new_mem is None:
+    if delta == 0 and new_cpu is None:
         return None
     notes.insert(0, "verdict poor: scale up")
-    return ScalingAction(view.name, delta, new_cpu, new_mem, "; ".join(notes))
+    return ScalingAction(view.name, delta, new_cpu, "; ".join(notes))
 
 
 def _plan_scale_down(view, cfg) -> ScalingAction | None:
     reqs = view.requirements
     if reqs.horizontal_enabled and view.desired_replicas > reqs.min_replicas:
-        return ScalingAction(view.name, -1, None, None, "verdict exceeded: release one replica")
+        return ScalingAction(view.name, -1, None, "verdict exceeded: release one replica")
     if reqs.vertical_enabled:
         notes = []
-        new_cpu, new_mem = _resize(view, cfg, -1, notes)
-        if new_cpu is not None or new_mem is not None:
+        new_cpu = _resize(view, cfg, -1, notes)
+        if new_cpu is not None:
             notes.insert(0, "verdict exceeded: trim allocations at min replicas")
-            return ScalingAction(view.name, 0, new_cpu, new_mem, "; ".join(notes))
+            return ScalingAction(view.name, 0, new_cpu, "; ".join(notes))
     return None
 
 
-def _resize(view, cfg, sign: int, notes: list[str]) -> tuple[float | None, float | None]:
-    """Per-replica CPU and memory moved by ``sign`` times the vertical rates, clamped to bounds.
+def _resize(view, cfg, sign: int, notes: list[str]) -> float | None:
+    """Per-replica CPU moved by ``sign`` times ``vertical_cpu_rate`` percent, clamped to bounds.
 
-    A dimension whose rate is zero, or whose clamped value equals the current
-    one, comes back as None; each clamp appends a note.
+    None when the rate is zero or the clamped value equals the current one; a
+    clamp appends a note.
     """
+    if cfg.vertical_cpu_rate <= 0:
+        return None
     reqs = view.requirements
-    out = []
-    for dim, rate, current, lo, hi in (
-        ("cpu", cfg.vertical_cpu_rate, view.cpu_per_replica, reqs.min_cpu, reqs.max_cpu),
-        ("mem", cfg.vertical_mem_rate, view.mem_per_replica, reqs.min_mem, reqs.max_mem),
-    ):
-        new = None
-        if rate > 0:
-            resized = current * (1.0 + sign * rate / 100.0)
-            new = _clamp(resized, lo, hi)
-            if new != resized:
-                notes.append(f"{dim} clamped to bounds")
-            if new == current:
-                new = None
-        out.append(new)
-    return out[0], out[1]
+    current = view.cpu_per_replica
+    resized = current * (1.0 + sign * cfg.vertical_cpu_rate / 100.0)
+    new = _clamp(resized, reqs.min_cpu, reqs.max_cpu)
+    if new != resized:
+        notes.append("cpu clamped to bounds")
+    return None if new == current else new
 
 
 def execute(actions, sim: ClusterSim) -> list[str]:
@@ -190,11 +178,7 @@ def execute(actions, sim: ClusterSim) -> list[str]:
         reqs = view.requirements
         target = int(_clamp(view.desired_replicas + action.horizontal_delta, reqs.min_replicas, reqs.max_replicas))
         try:
-            sim.apply_rolling_update(
-                action.service, target,
-                cpu=action.new_cpu_per_replica,
-                mem=action.new_mem_per_replica,
-            )
+            sim.apply_rolling_update(action.service, target, cpu=action.new_cpu_per_replica)
             outcomes.append("applied")
         except BoundViolation as exc:
             outcomes.append(f"rejected: {exc}")

@@ -43,10 +43,9 @@ class ServiceConfig:
     requirements: ScalingRequirements
     initial_replicas: int = 1
     initial_cpu: float = 500.0
-    initial_mem: float = 256.0
 
     def __post_init__(self):
-        self.requirements.check_initial(self.initial_replicas, self.initial_cpu, self.initial_mem)
+        self.requirements.check_initial(self.initial_replicas, self.initial_cpu)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class MsRaSpec(ControllerSpec):
     kind: ClassVar[str] = MSRA
     preferred_strategy: str = "normal"
     vertical_cpu_rate: float = 0.0  # percent added to (removed from) each replica's CPU
-    vertical_mem_rate: float = 0.0
     evaluation_interval: float = 15.0
     cooldown: float = 30.0
     exceed_hysteresis: float = 2.0  # percentage points above target before "exceeded"
@@ -99,8 +97,8 @@ class MsRaSpec(ControllerSpec):
         super().__post_init__()
         if self.preferred_strategy not in [s.value for s in StrategyLevel]:
             raise ConfigurationError(f"unknown strategy {self.preferred_strategy!r}")
-        if self.vertical_cpu_rate < 0 or self.vertical_mem_rate < 0:
-            raise ConfigurationError("vertical rates must be non-negative")
+        if self.vertical_cpu_rate < 0:
+            raise ConfigurationError("vertical_cpu_rate must be non-negative")
         if self.cooldown < 0:
             raise ConfigurationError("cooldown must be non-negative")
         if self.exceed_hysteresis < 0:
@@ -239,20 +237,14 @@ def benchmark_preset(repetitions: int = 10, seed: int = 42) -> ExperimentConfig:
             max_replicas=20,
             min_cpu=100.0,
             max_cpu=4000.0,
-            min_mem=64.0,
-            max_mem=4096.0,
         ),
         initial_replicas=1,
         initial_cpu=500.0,
-        initial_mem=256.0,
     )
     controllers = (  # name, SLO1 X, SLO2 Y, then the engine's parameters
-        MsRaSpec("MS-RA-A", 95.0, 0.5, preferred_strategy="conservative",
-                 vertical_cpu_rate=20.0, vertical_mem_rate=20.0),
-        MsRaSpec("MS-RA-B", 90.0, 1.0, preferred_strategy="normal",
-                 vertical_cpu_rate=10.0, vertical_mem_rate=10.0),
-        MsRaSpec("MS-RA-C", 85.0, 2.0, preferred_strategy="best_effort",
-                 vertical_cpu_rate=0.0, vertical_mem_rate=0.0),
+        MsRaSpec("MS-RA-A", 95.0, 0.5, preferred_strategy="conservative", vertical_cpu_rate=20.0),
+        MsRaSpec("MS-RA-B", 90.0, 1.0, preferred_strategy="normal", vertical_cpu_rate=10.0),
+        MsRaSpec("MS-RA-C", 85.0, 2.0, preferred_strategy="best_effort", vertical_cpu_rate=0.0),
         HpaSpec("HPA-A", 95.0, 0.5, cpu_threshold=60.0, stabilization_window=90.0),
         HpaSpec("HPA-B", 90.0, 1.0, cpu_threshold=70.0, stabilization_window=90.0),
         HpaSpec("HPA-C", 85.0, 2.0, cpu_threshold=80.0, stabilization_window=45.0),
@@ -273,8 +265,7 @@ def run_single(cfg: ExperimentConfig, ctrl: ControllerSpec, repetition: int) -> 
     sim = ClusterSim(timeout=cfg.timeout)
     for sc in cfg.services:
         sim.add_service(sc.name, sc.profile, sc.requirements,
-                        initial_replicas=sc.initial_replicas,
-                        cpu_alloc=sc.initial_cpu, mem_alloc=sc.initial_mem)
+                        initial_replicas=sc.initial_replicas, cpu_alloc=sc.initial_cpu)
     store = MetricStore()
     ClosedLoopDriver(sim, cfg.workload, seed=cfg.seed + repetition)
     service = cfg.workload.target_service
@@ -462,11 +453,6 @@ def export(reports: list[RunReport], out_dir: str, export_timeseries: bool = Fal
     return summary
 
 
-def read_summary(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 # ------------------------------------------------------------ configuration
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -487,56 +473,63 @@ def _to_data(value):
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build each level from its keys; the dataclasses supply every default,
-    and an unknown or misspelled key is rejected at any level."""
-    if bad := _not_a_number(data):
-        raise ConfigurationError(f"bad experiment configuration: {bad} is not a finite number")
+    and an unknown or misspelled key, or a value of the wrong JSON type, is
+    rejected at any level."""
     try:
         workload = data["workload"]
-        return ExperimentConfig(**{
+        for i, (duration, _users) in enumerate(workload["phases"]):
+            _check(duration, "float", f"config.workload.phases.{i}.0")
+        return _build(ExperimentConfig, {
             **data,
             "services": tuple(
-                ServiceConfig(**{**s, "profile": ServerProfile(**s["profile"]),
-                                 "requirements": ScalingRequirements(**s["requirements"])})
-                for s in data["services"]
+                _build(ServiceConfig, {
+                    **s,
+                    "profile": _build(ServerProfile, s["profile"], f"config.services.{i}.profile"),
+                    "requirements": _build(ScalingRequirements, s["requirements"],
+                                           f"config.services.{i}.requirements"),
+                }, f"config.services.{i}")
+                for i, s in enumerate(data["services"])
             ),
-            "workload": LoadProfile(**{
-                # float("30") would read a string as a number; LoadProfile rejects a string.
-                **workload, "phases": tuple((float(d) if isinstance(d, (int, float)) else d, u)
-                                            for d, u in workload["phases"]),
-            }),
-            "controllers": tuple(_spec_from_dict(c) for c in data["controllers"]),
-        })
+            "workload": _build(LoadProfile, {
+                **workload, "phases": tuple((float(d), u) for d, u in workload["phases"]),
+            }, "config.workload"),
+            "controllers": tuple(_spec_from_dict(c, f"config.controllers.{i}")
+                                 for i, c in enumerate(data["controllers"])),
+        }, "config")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad experiment configuration: {exc}") from exc
 
 
-# A JSON boolean is a Python int, so it would pass for a number; only these
-# settings are declared bool.
-_BOOL_SETTINGS = frozenset(f.name for f in fields(ScalingRequirements) if f.type == "bool")
+# What a JSON value must be for a setting of each declared type, and how to
+# say so. A JSON boolean is a Python int, and json reads NaN and Infinity.
+_JSON_TYPES = {
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) is int or (type(v) is float and math.isfinite(v)), "a finite number"),
+}
 
 
-def _not_a_number(value, path: str = "config") -> str | None:
-    """The path of the first NaN or infinite number in JSON-shaped ``value``
-    (json reads both, and no setting means anything with them), or of a
-    boolean given for a setting not declared bool; None if there is none."""
-    if isinstance(value, dict):
-        value = value.items()
-    elif isinstance(value, (list, tuple)):
-        value = enumerate(value)
-    elif isinstance(value, bool):
-        return None if path.rpartition(".")[2] in _BOOL_SETTINGS else path
-    else:
-        return path if isinstance(value, float) and not math.isfinite(value) else None
-    return next(filter(None, (_not_a_number(item, f"{path}.{key}") for key, item in value)), None)
+def _check(value, declared: str, path: str) -> None:
+    fits, wanted = _JSON_TYPES[declared]
+    if not fits(value):
+        raise ConfigurationError(f"bad experiment configuration: {path} must be {wanted}, not {value!r}")
 
 
-def _spec_from_dict(data: dict) -> ControllerSpec:
+def _build(cls, values: dict, path: str):
+    """``cls(**values)`` once each value of a bool, int or float field has that JSON type."""
+    for f in fields(cls):
+        if f.type in _JSON_TYPES and f.name in values:
+            _check(values[f.name], f.type, f"{path}.{f.name}")
+    return cls(**values)
+
+
+def _spec_from_dict(data: dict, path: str) -> ControllerSpec:
     values = dict(data)
     kind = values.pop("kind")
     spec = {MSRA: MsRaSpec, HPA: HpaSpec}.get(kind)
     if spec is None:
         raise ConfigurationError(f"unknown controller kind {kind!r}")
-    return spec(**values)
+    return _build(spec, values, path)
 
 
 def load_config(path: str) -> ExperimentConfig:

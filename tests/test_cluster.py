@@ -226,8 +226,7 @@ class TestResourceUsage:
     def test_starting_replica_cpu_surge(self):
         sim = one_replica_sim(cpu_alloc=200.0, startup=5.0,
                               requirements=ScalingRequirements(min_replicas=1, max_replicas=5,
-                                                               min_cpu=50.0, max_cpu=2000.0,
-                                                               min_mem=64.0, max_mem=4096.0))
+                                                               min_cpu=50.0, max_cpu=2000.0))
         sim.apply_rolling_update("svc", 2)
         usage = sim.take_usage_sample()["svc"]
         assert usage.total_cpu == 200.0 + 200.0 * 1.5
@@ -304,8 +303,6 @@ class TestRollingUpdate:
             sim.apply_rolling_update("svc", 0)
         with pytest.raises(BoundViolation):
             sim.apply_rolling_update("svc", 2, cpu=5000.0)
-        with pytest.raises(BoundViolation):
-            sim.apply_rolling_update("svc", 2, mem=1.0)
         view = sim.service_view("svc")
         assert len(sim.services["svc"].replicas) == before
         assert view.active == 2 and view.cpu_per_replica == 100.0
@@ -314,7 +311,6 @@ class TestRollingUpdate:
         horizontal_only = ScalingRequirements(
             horizontal_enabled=True, vertical_enabled=False,
             min_replicas=1, max_replicas=5, min_cpu=50.0, max_cpu=2000.0,
-            min_mem=64.0, max_mem=4096.0,
         )
         sim = one_replica_sim(requirements=horizontal_only)
         with pytest.raises(BoundViolation):
@@ -322,7 +318,6 @@ class TestRollingUpdate:
         vertical_only = ScalingRequirements(
             horizontal_enabled=False, vertical_enabled=True,
             min_replicas=1, max_replicas=5, min_cpu=50.0, max_cpu=2000.0,
-            min_mem=64.0, max_mem=4096.0,
         )
         sim2 = one_replica_sim(requirements=vertical_only, service="svc")
         with pytest.raises(BoundViolation):
@@ -334,7 +329,6 @@ class TestRollingUpdate:
         vertical_only = ScalingRequirements(
             horizontal_enabled=False, vertical_enabled=True,
             min_replicas=1, max_replicas=5, min_cpu=50.0, max_cpu=2000.0,
-            min_mem=64.0, max_mem=4096.0,
         )
         sim = one_replica_sim(requirements=vertical_only, replicas=3, cpu_alloc=100.0, startup=20.0)
         sim.apply_rolling_update("svc", 3, cpu=120.0)
@@ -399,20 +393,17 @@ def test_closed_loop_pushes_at_most_two_heap_events_per_request():
     assert sim._seq <= 2 * issued + timers + startups
 
 
-def test_event_log_export(tmp_path):
+def test_event_log_of_a_vertical_update():
     # One vertical rolling update of a single replica: surge, ready, drain.
     sim = one_replica_sim(nominal=1.0, cpu_alloc=100.0, startup=5.0)
     sim.apply_rolling_update("svc", 1, cpu=200.0)
     sim.advance(10.0, arrivals=[(0.0, "svc")])
-    path = tmp_path / "events.csv"
-    sim.export_event_log(path)
-    assert path.read_text().splitlines() == [
-        "time,event_kind,service,replica_id,detail",
-        "0.000000,replica_ready,svc,0,initial",
-        "0.000000,replica_created,svc,1,cpu=200;mem=128",
-        "5.000000,replica_ready,svc,1,",
-        "5.000000,replica_terminating,svc,0,was=ready",
-        "5.000000,replica_removed,svc,0,",
+    assert sim.event_log == [
+        (0.0, "replica_ready", "svc", 0, "initial"),
+        (0.0, "replica_created", "svc", 1, "cpu=200"),
+        (5.0, "replica_ready", "svc", 1, ""),
+        (5.0, "replica_terminating", "svc", 0, "was=ready"),
+        (5.0, "replica_removed", "svc", 0, ""),
     ]
 
 

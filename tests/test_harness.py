@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import random
@@ -21,7 +22,6 @@ from msra.harness import (
     config_from_dict,
     config_to_dict,
     export,
-    read_summary,
     reduction_pct,
     run_experiment,
     run_single,
@@ -37,16 +37,13 @@ def small_config(phases=((60.0, 2), (60.0, 4)), repetitions=1, controllers=None)
                               startup_duration=2.0, startup_cpu_surge=1.5,
                               memory_base=100.0, memory_per_inflight=10.0),
         requirements=ScalingRequirements(min_replicas=1, max_replicas=10,
-                                         min_cpu=100.0, max_cpu=2000.0,
-                                         min_mem=64.0, max_mem=4096.0),
+                                         min_cpu=100.0, max_cpu=2000.0),
         initial_replicas=1,
         initial_cpu=200.0,
-        initial_mem=128.0,
     )
     controllers = controllers or (
         MsRaSpec(name="MS-RA-A", slo1_threshold=95.0, slo2_threshold=0.5,
-                 preferred_strategy="conservative", vertical_cpu_rate=20.0,
-                 vertical_mem_rate=20.0),
+                 preferred_strategy="conservative", vertical_cpu_rate=20.0),
         HpaSpec(name="HPA-A", slo1_threshold=95.0, slo2_threshold=0.5, cpu_threshold=60.0),
     )
     return ExperimentConfig(
@@ -96,9 +93,9 @@ class TestRunSingle:
                      for ctrl in cfg.controllers)
         met = "met,conservative,frontend,none,,0.500"
         assert msra == [f"{t:.1f},{met}" for t in (15, 30, 45, 60)] + [
-            "75.0,poor,conservative,frontend,replicas+1;cpu=240;mem=153.6,verdict poor: scale up,-19.510",
+            "75.0,poor,conservative,frontend,replicas+1;cpu=240,verdict poor: scale up,-19.510",
             "90.0,poor,conservative,frontend,none,,-18.793",
-            "105.0,poor,conservative,frontend,replicas+1;cpu=288;mem=184.32,verdict poor: scale up,-12.876",
+            "105.0,poor,conservative,frontend,replicas+1;cpu=288,verdict poor: scale up,-12.876",
             "120.0,poor,conservative,frontend,none,,-7.921",
         ] + [f"{t:.1f},{met}" for t in range(135, 241, 15)]
         assert hpa == [
@@ -116,8 +113,7 @@ class TestRunSingle:
         # HPA scales in at 30 s while its 15 s scale-out is still starting.
         base = small_config(phases=((15.0, 6), (15.0, 1), (210.0, 200)), controllers=(
             MsRaSpec(name="MS-RA-A", slo1_threshold=95.0, slo2_threshold=0.5,
-                     preferred_strategy="conservative", vertical_cpu_rate=20.0,
-                     vertical_mem_rate=20.0),
+                     preferred_strategy="conservative", vertical_cpu_rate=20.0),
             HpaSpec(name="HPA-A", slo1_threshold=95.0, slo2_threshold=0.5, cpu_threshold=60.0,
                     stabilization_window=15.0),
         ))
@@ -135,18 +131,17 @@ class TestRunSingle:
         assert (msra.requests, msra.failures, msra.slo1_violations, msra.slo2_violations) == (4382, 1781, 14, 14)
         assert (hpa.requests, hpa.failures, hpa.slo1_violations, hpa.slo2_violations) == (3926, 2772, 14, 14)
         poor = "poor,conservative,frontend"
-        resized = [(75, "288", "184.32", -82.969), (105, "345.6", "221.184", -85.909),
-                   (135, "414.72", "265.421", -90.592), (165, "497.664", "318.505", -90.246),
-                   (195, "597.197", "382.206", -89.231), (225, "716.636", "458.647", -88.059)]
+        resized = [(75, "288", -82.969), (105, "345.6", -85.909), (135, "414.72", -90.592),
+                   (165, "497.664", -90.246), (195, "597.197", -89.231), (225, "716.636", -88.059)]
         held = [(60, -78.661), (90, -86.078), (120, -86.440), (150, -91.072),
                 (180, -90.140), (210, -89.362), (240, -88.382)]
         expected = {
             15.0: "15.0,met,conservative,frontend,none,,0.500",
             30.0: "30.0,met,conservative,frontend,none,,0.500",
-            45.0: f"45.0,{poor},replicas+1;cpu=240;mem=153.6,verdict poor: scale up,-66.575",
+            45.0: f"45.0,{poor},replicas+1;cpu=240,verdict poor: scale up,-66.575",
         }
-        for t, cpu, mem, budget in resized:
-            expected[t] = (f"{t:.1f},{poor},cpu={cpu};mem={mem},"
+        for t, cpu, budget in resized:
+            expected[t] = (f"{t:.1f},{poor},cpu={cpu},"
                            f"verdict poor: scale up; at max replicas,{budget:.3f}")
         for t, budget in held:
             expected[t] = f"{t:.1f},{poor},none,,{budget:.3f}"
@@ -236,7 +231,8 @@ class TestExport:
         cfg = small_config(repetitions=1)
         reports = run_experiment(cfg)
         export(reports, str(tmp_path / "out"))
-        rows = read_summary(str(tmp_path / "out" / "summary.csv"))
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["profile"] for r in rows] == ["MS-RA-A", "HPA-A"]
         for row, report in zip(rows, reports):
             assert float(row["avg_replicas"]) == pytest.approx(report.avg_replicas, abs=1e-6)
@@ -284,7 +280,6 @@ BAD_VALUES = {
     "timeout of 0": (("timeout",), 0.0),
     "initial replicas above max_replicas": (("services", 0, "initial_replicas"), 11),
     "initial cpu above max_cpu": (("services", 0, "initial_cpu"), 5000.0),
-    "initial mem below min_mem": (("services", 0, "initial_mem"), 32.0),
     "service listed twice": (("services",), config_to_dict(small_config())["services"] * 2),
     "fractional user count": (("workload", "phases", 0, 1), 2.5),
     "boolean user count": (("workload", "phases", 0, 1), True),
@@ -307,33 +302,49 @@ BAD_VALUES = {
     "boolean cooldown": (("controllers", 0, "cooldown"), False),
     "boolean nominal_service_time": (("services", 0, "profile", "nominal_service_time"), True),
     "phase duration as a string": (("workload", "phases", 0, 0), "30"),
+    "string for a boolean": (("services", 0, "requirements", "vertical_enabled"), "no"),
+    "0 for a boolean": (("services", 0, "requirements", "vertical_enabled"), 0),
+    "1 for a boolean": (("services", 0, "requirements", "horizontal_enabled"), 1),
+    "string tight_budget_threshold": (("controllers", 0, "tight_budget_threshold"), "2"),
+    "string seed": (("seed",), "42"),
+    "fractional seed": (("seed",), 1.5),
+}
+
+# The memory-allocation settings of earlier versions, and the keys leading to
+# where each sat. No output ever read them, so they are gone, and a file that
+# still sets one is rejected.
+REMOVED_KEYS = {
+    "initial_mem": ("services", 0),
+    "min_mem": ("services", 0, "requirements"),
+    "max_mem": ("services", 0, "requirements"),
+    "vertical_mem_rate": ("controllers", 0),
 }
 
 # `msra --paper --dump-config` as an earlier version wrote it, scalar top-level
-# keys first, minus the `stateful` flag that is no longer a setting.
+# keys first, minus the settings that are gone: the `stateful` flag and
+# REMOVED_KEYS.
 EARLIER_PRESET_DUMP = """{
   "seed": 42, "repetitions": 10, "timeout": 10.0, "metrics_interval": 5.0,
   "services": [{"name": "frontend",
     "profile": {"nominal_service_time": 0.5, "reference_cpu": 100.0, "startup_duration": 5.0,
                 "startup_cpu_surge": 1.5, "memory_base": 100.0, "memory_per_inflight": 10.0},
     "requirements": {"horizontal_enabled": true, "vertical_enabled": true,
-                     "min_replicas": 1, "max_replicas": 20, "min_cpu": 100.0, "max_cpu": 4000.0,
-                     "min_mem": 64.0, "max_mem": 4096.0},
-    "initial_replicas": 1, "initial_cpu": 500.0, "initial_mem": 256.0}],
+                     "min_replicas": 1, "max_replicas": 20, "min_cpu": 100.0, "max_cpu": 4000.0},
+    "initial_replicas": 1, "initial_cpu": 500.0}],
   "workload": {"phases": [[300.0, 10], [300.0, 20], [300.0, 30], [300.0, 10], [300.0, 30], [300.0, 20]],
                "target_service": "frontend", "think_time": 1.0, "think_jitter": 0.0},
   "controllers": [
     {"name": "MS-RA-A", "kind": "msra", "slo1_threshold": 95.0, "slo2_threshold": 0.5,
      "slo1_deadline": 2.5, "slo_window": 60.0, "preferred_strategy": "conservative",
-     "vertical_cpu_rate": 20.0, "vertical_mem_rate": 20.0, "evaluation_interval": 15.0,
+     "vertical_cpu_rate": 20.0, "evaluation_interval": 15.0,
      "cooldown": 30.0, "exceed_hysteresis": 2.0, "tight_budget_threshold": 2.0},
     {"name": "MS-RA-B", "kind": "msra", "slo1_threshold": 90.0, "slo2_threshold": 1.0,
      "slo1_deadline": 2.5, "slo_window": 60.0, "preferred_strategy": "normal",
-     "vertical_cpu_rate": 10.0, "vertical_mem_rate": 10.0, "evaluation_interval": 15.0,
+     "vertical_cpu_rate": 10.0, "evaluation_interval": 15.0,
      "cooldown": 30.0, "exceed_hysteresis": 2.0, "tight_budget_threshold": 2.0},
     {"name": "MS-RA-C", "kind": "msra", "slo1_threshold": 85.0, "slo2_threshold": 2.0,
      "slo1_deadline": 2.5, "slo_window": 60.0, "preferred_strategy": "best_effort",
-     "vertical_cpu_rate": 0.0, "vertical_mem_rate": 0.0, "evaluation_interval": 15.0,
+     "vertical_cpu_rate": 0.0, "evaluation_interval": 15.0,
      "cooldown": 30.0, "exceed_hysteresis": 2.0, "tight_budget_threshold": 2.0},
     {"name": "HPA-A", "kind": "hpa", "slo1_threshold": 95.0, "slo2_threshold": 0.5,
      "slo1_deadline": 2.5, "slo_window": 60.0, "cpu_threshold": 60.0,
@@ -380,6 +391,19 @@ class TestConfigSerialization:
         assert len(shared) >= 2
         for f in shared:
             assert spec_defaults[f.name] == f.default, f"HpaConfig.{f.name}"
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_memory_key_rejected(self, key, tmp_path, capsys):
+        data = config_to_dict(small_config())
+        parent = data
+        for k in REMOVED_KEYS[key]:
+            parent = parent[k]
+        parent[key] = 256.0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     def test_bad_kind_rejected(self):
         data = config_to_dict(small_config())

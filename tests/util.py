@@ -71,8 +71,7 @@ def one_replica_sim(
     )
     reqs = requirements or ScalingRequirements(
         min_replicas=1, max_replicas=10, min_cpu=50.0, max_cpu=2000.0,
-        min_mem=64.0, max_mem=4096.0,
     )
     sim.add_service(service, profile, reqs, initial_replicas=replicas,
-                    cpu_alloc=cpu_alloc or reference_cpu, mem_alloc=128.0)
+                    cpu_alloc=cpu_alloc or reference_cpu)
     return sim
